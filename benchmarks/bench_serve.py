@@ -13,7 +13,7 @@ sections under ``detail.raw``) in the repo root and exits non-zero if
 any request fails, the burst is not rejected, or the service beats the
 spawn baseline by less than 5x. Re-recording over a report from a
 different commit requires ``--force`` (passed through, like every other
-flag, to ``repro serve-bench``). The committed baseline was produced
+flag, to ``repro serve bench``). The committed baseline was produced
 by::
 
     PYTHONPATH=src python benchmarks/bench_serve.py --force

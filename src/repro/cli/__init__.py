@@ -21,8 +21,7 @@ Commands (one module per command in this package, each exposing
 - ``serve``    the long-running simulation service: warm workers behind a
   Unix/TCP socket, request dedup against the result cache, admission
   control, live health/stats (docs/SERVING.md); ``serve bench`` is its
-  load generator (the old top-level ``serve-bench`` still works behind a
-  one-time deprecation warning);
+  load generator;
 - ``bench``    continuous benchmarking against the content-addressed
   baseline store (docs/BENCHMARKING.md);
 - ``snapshot`` save/resume/inspect checkpoints and the warm-start prefix
@@ -37,32 +36,7 @@ import argparse
 import sys
 from typing import Sequence
 
-# Re-exported for back-compat: these lived at module scope when the CLI
-# was a single file, and the serve daemon + tests import them from here.
-from repro.cli._common import (  # noqa: F401
-    _check_workload_name,
-    _kind,
-    _workload,
-    _workload_names,
-)
 from repro.errors import ReproError
-
-_SERVE_BENCH_WARNED = False
-
-
-def _warn_serve_bench_deprecated() -> None:
-    """One warning per process for the old ``serve-bench`` spelling."""
-    global _SERVE_BENCH_WARNED
-    if _SERVE_BENCH_WARNED:
-        return
-    _SERVE_BENCH_WARNED = True
-    import warnings
-
-    message = (
-        "'repro serve-bench' is deprecated; use 'repro serve bench'"
-    )
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-    print(f"warning: {message}", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,17 +84,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(argv)
     try:
         # The serve load generator owns its own argparse, and REMAINDER
-        # cannot capture leading --options (bpo-17050), so both
-        # spellings forward verbatim before the main parser runs.
+        # cannot capture leading --options (bpo-17050), so it is
+        # forwarded verbatim before the main parser runs.
         if argv[:2] == ["serve", "bench"]:
             from repro.serve.bench import main as bench_main
 
             return bench_main(argv[2:])
-        if argv[:1] == ["serve-bench"]:
-            _warn_serve_bench_deprecated()
-            from repro.serve.bench import main as bench_main
-
-            return bench_main(argv[1:])
         parser = build_parser()
         args = parser.parse_args(argv)
         return args.fn(args)

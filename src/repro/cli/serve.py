@@ -4,8 +4,7 @@
 ``serve bench`` is forwarded verbatim to the load generator's own
 argparse by ``main()`` (argparse.REMAINDER cannot capture leading
 ``--options``, bpo-17050), so the ``serve`` parser here only carries the
-daemon flags. The old top-level ``serve-bench`` spelling still works
-behind a one-time deprecation warning.
+daemon flags.
 """
 
 from __future__ import annotations
@@ -32,15 +31,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_line_bytes=args.max_line_bytes,
     )
     return SimulationServer(config).run()
-
-
-def cmd_serve_bench(args: argparse.Namespace) -> int:  # pragma: no cover
-    # Reached only for a bare ``repro serve-bench`` (main() forwards
-    # anything with arguments straight to the bench parser, because
-    # argparse.REMAINDER refuses to capture leading ``--options``).
-    from repro.serve.bench import main as bench_main
-
-    return bench_main(args.bench_args)
 
 
 def register(sub: argparse._SubParsersAction) -> None:
@@ -86,14 +76,3 @@ def register(sub: argparse._SubParsersAction) -> None:
                         "raise it when dist coordinators push prefix blobs "
                         "bigger than that through prefix-put)")
     p.set_defaults(fn=cmd_serve)
-
-    # Deprecated top-level spelling, kept so ``repro serve-bench`` and its
-    # --help keep working; main() pre-dispatches and warns once.
-    p = sub.add_parser(
-        "serve-bench",
-        help="deprecated alias for: repro serve bench",
-    )
-    p.add_argument("bench_args", nargs=argparse.REMAINDER,
-                   help="arguments for the load generator "
-                        "(try: repro serve bench --help)")
-    p.set_defaults(fn=cmd_serve_bench)

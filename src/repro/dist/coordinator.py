@@ -9,9 +9,11 @@ the same local result cache.
 
 How a batch flows (docs/DIST.md has the full topology discussion):
 
-1. **Local cache first.** Jobs whose fingerprint is already in the
-   local cache never touch the network; duplicate fingerprints within
-   the batch collapse to one dispatch (the ``run_jobs`` dedup contract).
+1. **One batch plan.** :func:`~repro.runner.plan.plan_batch` — the
+   planner the local pool uses too — answers local cache hits without
+   touching the network, collapses duplicate fingerprints to one
+   dispatch, and (with ``warm_start=True``) holds each prefix group
+   behind its first job.
 2. **Consistent-hash routing.** Every remaining job routes by its
    content fingerprint through a :class:`~repro.dist.ring.HashRing`, so
    reruns land on the same nodes and each node's result cache and
@@ -32,13 +34,11 @@ How a batch flows (docs/DIST.md has the full topology discussion):
 5. **Rejoin.** A monitor thread keeps pinging dead nodes; one that
    answers again is re-absorbed into the ring and its dispatcher
    restarted, so a bounced daemon picks work back up mid-campaign.
-6. **Warm-start lifting.** With ``warm_start=True`` the prefix-gate
-   leader election from the local pool (docs/WARMSTART.md) runs at the
-   coordinator: one job per prefix group dispatches first, and once it
-   settles the coordinator pulls the captured prefix off its node
-   (``prefix-fetch``) and pushes it to every other live node
-   (``prefix-put``) before releasing the group — exactly one node pays
-   the warmup, every node serves the group warm.
+6. **Prefix replication.** When a warm-start gate leader settles, the
+   coordinator pulls the captured prefix off its node (``prefix-fetch``)
+   and pushes it to every other live node (``prefix-put``) before
+   releasing the held group — exactly one node pays the warmup, every
+   node serves the group warm.
 """
 
 from __future__ import annotations
@@ -46,15 +46,15 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.core.metrics import RunResult
 from repro.errors import DistError
 from repro.obs.metrics import MetricsRegistry
-from repro.runner.cache import ResultCache, job_fingerprint
-from repro.runner.campaign import Job, prefix_eligible
-from repro.runner.pool import CampaignJobError
+from repro.runner.cache import ResultCache
+from repro.runner.campaign import Job
+from repro.runner.plan import BatchPlan, plan_batch
 from repro.runner.progress import CampaignProgress, env_echo
 from repro.runner.serialize import result_from_dict
 from repro.serve.client import (
@@ -144,16 +144,11 @@ def parse_nodes(text: str | Sequence[str]) -> list[NodeSpec]:
 
 @dataclass
 class _Item:
-    """One dispatchable unit: a fingerprint-group leader job."""
+    """One dispatchable unit: a batch plan's pending leader."""
 
     index: int
     job: Job
-    fingerprint: str
-    followers: list[int] = field(default_factory=list)
     attempts: int = 0
-    #: Warm-start group key when this item is that group's gate leader
-    #: (its settlement releases the held siblings).
-    gate_key: str | None = None
 
 
 class _Node:
@@ -207,13 +202,8 @@ class DistributedExecutor:
         self._nodes: dict[str, _Node] = {}
         self._lock = threading.Lock()
         self._done = threading.Event()
-        self._outstanding = 0
-        self._results: list[RunResult | None] = []
-        self._failures: list[tuple[Job, str]] = []
-        self._gates: dict[str, list[_Item]] = {}
-        self._cache: ResultCache | None = None
+        self._plan: BatchPlan | None = None
         self._timeout_s: float | None = None
-        self._progress: CampaignProgress | None = None
 
     # --- Public API -------------------------------------------------------
 
@@ -244,12 +234,7 @@ class DistributedExecutor:
 
         if progress is None:
             progress = CampaignProgress(len(jobs), echo=env_echo())
-        self._cache = cache
         self._timeout_s = timeout_s
-        self._progress = progress
-        self._results = [None] * len(jobs)
-        self._failures = []
-        self._gates = {}
         self._done = threading.Event()
         self._nodes = {spec.name: _Node(spec) for spec in self.specs}
         self._ring = HashRing()
@@ -269,41 +254,14 @@ class DistributedExecutor:
         if progress.workers is None:
             progress.workers = len(self._ring)
 
-        # Fingerprint the batch: local cache hits settle immediately,
-        # duplicate fingerprints collapse to one dispatch.
-        items: list[_Item] = []
-        by_fingerprint: dict[str, _Item] = {}
-        for index, job in enumerate(jobs):
-            fingerprint = job_fingerprint(job)
-            leader = by_fingerprint.get(fingerprint)
-            if leader is not None:
-                leader.followers.append(index)
-                continue
-            if cache is not None:
-                hit = cache.get(fingerprint)
-                if hit is not None:
-                    self._results[index] = hit
-                    progress.job_finished(
-                        job.describe(), cached=True, elapsed=0.0
-                    )
-                    self.metrics.counter("dist.cache_hits").inc()
-                    # Later duplicates of this fingerprint re-probe the
-                    # cache and hit it again — correct and simple.
-                    continue
-            item = _Item(index=index, job=job, fingerprint=fingerprint)
-            by_fingerprint[fingerprint] = item
-            items.append(item)
-
-        self._outstanding = len(items)
-        if not self._outstanding:
-            return self._finish(jobs)
-
-        # Warm-start gating: hold every prefix group behind its first
-        # item; the leader's settlement replicates the captured prefix
-        # across the ring before the group dispatches (step 6 above).
-        ready = items
-        if self.warm_start:
-            ready = self._gate_warm_groups(items)
+        plan = self._plan = plan_batch(
+            jobs, cache=cache, progress=progress, warm_start=self.warm_start
+        )
+        self.metrics.counter("dist.cache_hits").inc(
+            sum(result is not None for result in plan.results)
+        )
+        if not plan.outstanding:
+            return plan.outcome()
 
         monitor = threading.Thread(
             target=self._monitor_loop, name="dist-monitor", daemon=True
@@ -312,8 +270,7 @@ class DistributedExecutor:
             if node.alive:
                 self._start_dispatcher(node)
         with self._lock:
-            for item in ready:
-                self._enqueue(item)
+            self._enqueue_all(plan.ready())
         monitor.start()
 
         self._done.wait()
@@ -324,40 +281,21 @@ class DistributedExecutor:
                 node.thread.join(timeout=10.0)
         monitor.join(timeout=self.rejoin_interval_s + 5.0)
         self._collect_node_stats()
-        return self._finish(jobs)
-
-    # --- Batch assembly ---------------------------------------------------
-
-    def _gate_warm_groups(self, items: list[_Item]) -> list[_Item]:
-        """Partition dispatchable items into gate leaders (dispatch now)
-        and held group members (dispatch when their leader settles)."""
-        from repro.snapshot.prefix import prefix_divergence_epoch, prefix_key
-
-        epoch = prefix_divergence_epoch()
-        ready: list[_Item] = []
-        for item in items:
-            if not prefix_eligible(item.job):
-                ready.append(item)
-                continue
-            key = prefix_key(item.job, epoch)
-            held = self._gates.get(key)
-            if held is None:
-                # First of its group: it leads, and its settlement
-                # opens the gate.
-                self._gates[key] = []
-                item.gate_key = key
-                ready.append(item)
-            else:
-                held.append(item)
-        return ready
+        return plan.outcome()
 
     # --- Routing and dispatch ---------------------------------------------
 
+    def _enqueue_all(self, indices: Sequence[int]) -> None:
+        """Wrap a plan's leaders as items and route them (lock held)."""
+        assert self._plan is not None
+        for index in indices:
+            self._enqueue(_Item(index, self._plan.jobs[index]))
+
     def _enqueue(self, item: _Item) -> None:
         """Route one item onto a live node's queue (lock held)."""
-        assert self._ring is not None
+        assert self._ring is not None and self._plan is not None
         try:
-            name = self._ring.route(item.fingerprint)
+            name = self._ring.route(self._plan.fingerprints[item.index])
         except DistError:
             self._settle_failure_locked(item, "no live nodes")
             return
@@ -440,57 +378,39 @@ class DistributedExecutor:
         except Exception as exc:  # undecodable: a node-side bug
             self._node_down(node, item, f"undecodable result: {exc}")
             return
-        assert self._progress is not None
+        assert self._plan is not None
+        cached = bool(response.get("cached"))
         with self._lock:
-            self._results[item.index] = result
-            if self._cache is not None:
-                self._cache.put_envelope(
-                    item.fingerprint, dict(envelope), job=item.job
-                )
-            cached = bool(response.get("cached"))
             self.metrics.counter(
                 "dist.remote_cache_hits" if cached else "dist.fresh_results"
             ).inc()
-            self._progress.job_finished(
-                item.job.describe(),
-                cached=cached,
+            released = self._plan.settle(
+                item.index,
+                result,
+                envelope=dict(envelope),
                 elapsed=float(response.get("service_s", elapsed)),
+                cached=cached,
             )
-            for follower in item.followers:
-                self._results[follower] = result_from_dict(envelope)
-                self._progress.job_deduped(item.job.describe())
-        self._after_settle(item, node)
+        if released:
+            # A warm-start gate opened: replicate its prefix first.
+            self._replicate_prefix(self._plan.gate_keys[item.index], node)
+        with self._lock:
+            self._enqueue_all(released)
+            self._check_done_locked()
 
     def _settle_failure_locked(self, item: _Item, reason: str) -> None:
-        """Record a terminal failure (lock held); the batch keeps going."""
-        assert self._progress is not None
+        """Record a terminal failure (lock held); the batch keeps going.
+        A failed gate leader still releases its held group, which then
+        runs cold rather than hang on a prefix never captured."""
+        assert self._plan is not None
         self.metrics.counter("dist.terminal_failures").inc()
-        self._failures.append((item.job, reason))
-        self._progress.job_failed(item.job.describe(), reason)
-        for _ in item.followers:
-            self._failures.append((item.job, reason))
-            self._progress.job_failed(item.job.describe(), reason)
-        if item.gate_key is not None:
-            # A failed gate leader still opens its gate — the held group
-            # members dispatch cold rather than hang on a prefix that
-            # will never be captured. (No recursion risk: siblings never
-            # carry a gate_key of their own.)
-            for sibling in self._gates.pop(item.gate_key, []):
-                self._enqueue(sibling)
-        self._finish_item_locked(item)
+        self._enqueue_all(self._plan.fail(item.index, reason))
+        self._check_done_locked()
 
-    def _finish_item_locked(self, item: _Item) -> None:
-        self._outstanding -= 1
-        if self._outstanding <= 0:
+    def _check_done_locked(self) -> None:
+        assert self._plan is not None
+        if self._plan.outstanding <= 0:
             self._done.set()
-
-    def _after_settle(self, item: _Item, node: _Node | None) -> None:
-        """Post-settlement bookkeeping: open this item's warm gate (if
-        it led one), then count it done."""
-        if item.gate_key is not None:
-            self._open_gate(item, node)
-        with self._lock:
-            self._finish_item_locked(item)
 
     # --- Failover ----------------------------------------------------------
 
@@ -521,14 +441,14 @@ class DistributedExecutor:
                 self._retry_locked(item, f"node {node.spec.name} down", charge=False)
 
     def _retry_locked(self, item: _Item, reason: str, charge: bool = True) -> None:
-        assert self._progress is not None
+        assert self._plan is not None
         if charge and item.attempts >= self.max_attempts:
             self._settle_failure_locked(
                 item, f"failed on {item.attempts} nodes: {reason}"
             )
             return
         self.metrics.counter("dist.retries").inc()
-        self._progress.job_retried(item.job.describe(), reason)
+        self._plan.progress.job_retried(item.job.describe(), reason)
         self._enqueue(item)
 
     def _monitor_loop(self) -> None:
@@ -555,18 +475,6 @@ class DistributedExecutor:
                         self._start_dispatcher(node)
 
     # --- Warm-start replication --------------------------------------------
-
-    def _open_gate(self, item: _Item, node: _Node | None) -> None:
-        """Replicate the gate leader's captured prefix across the ring,
-        then release the held group members for normal dispatch."""
-        assert item.gate_key is not None
-        with self._lock:
-            held = self._gates.pop(item.gate_key, [])
-        if node is not None and held:
-            self._replicate_prefix(item.gate_key, node)
-        with self._lock:
-            for sibling in held:
-                self._enqueue(sibling)
 
     def _replicate_prefix(self, key: str, source: _Node) -> None:
         """Pull the prefix blob off the capturing node and push it to
@@ -616,14 +524,3 @@ class DistributedExecutor:
                 node.stats = None
             if node.stats is not None:
                 self.node_stats[node.spec.name] = node.stats
-
-    def _finish(self, jobs: Sequence[Job]) -> list[RunResult]:
-        if self._failures:
-            job, reason = self._failures[0]
-            raise CampaignJobError(
-                f"{len(self._failures)} of {len(jobs)} jobs failed "
-                f"terminally; first: {job.describe()}: {reason}"
-            )
-        results = self._results
-        assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]

@@ -8,11 +8,13 @@ future sweep all submit work the same way: describe jobs declaratively
 
 - **caching** — content-addressed on-disk results keyed by workload
   spec, config, and simulator code version (:mod:`repro.runner.cache`);
-- **parallelism** — a fault-tolerant worker pool with per-job timeouts
-  and graceful in-process fallback (:mod:`repro.runner.pool`);
-- **determinism** — jobs carry explicit seeds and run one-workload-per-
-  process, so pooled, cached, and serial execution agree byte-for-byte
-  (:mod:`repro.runner.serialize` round-trips losslessly);
+- **planning** — fingerprints, cache hits, dedup and warm-start prefix
+  gates, computed once for every executor (:mod:`repro.runner.plan`);
+- **parallelism** — a fault-tolerant pool of warm workers with per-job
+  timeouts and graceful in-process fallback (:mod:`repro.runner.pool`);
+- **determinism** — jobs carry explicit seeds and build a fresh
+  workload per run, so pooled, cached, and serial execution agree
+  byte-for-byte (:mod:`repro.runner.serialize` round-trips losslessly);
 - **visibility** — per-job progress, ETA, and the cache hit/fresh
   summary (:mod:`repro.runner.progress`).
 

@@ -372,6 +372,9 @@ def execute_job(job: Job) -> RunResult:
     ``REPRO_SNAPSHOT_DIR`` set, snapshot-capable jobs checkpoint at every
     epoch close and resume from ``<dir>/<slug>.ckpt`` when one matching
     the job fingerprint is present."""
+    # A warm worker runs many jobs: a cold job must not report the
+    # warm-start note its predecessor left behind.
+    pop_warm_start_note()
     trace_dir = trace_artifact_dir()
     if trace_dir is None:
         return _run_job(job)

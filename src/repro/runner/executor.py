@@ -1,22 +1,24 @@
 """The executor seam: campaign execution as a swappable backend.
 
 :func:`~repro.runner.pool.run_jobs` bakes in one execution strategy —
-the local fork-per-job process pool. The :class:`Executor` protocol
+the local pool of warm worker processes. The :class:`Executor` protocol
 lifts that choice out of the campaign layer: anything that can take a
 job list and return results aligned with it (cache hits satisfied
 locally, fresh results written back) is a campaign backend.
 
 Two implementations ship:
 
-- :class:`PoolExecutor` — the local pool, a thin wrapper over
-  :func:`run_jobs`; the default everywhere and the reference semantics
-  (bit-for-bit identical to serial in-process execution);
+- :class:`PoolExecutor` — the local warm-worker pool, a thin wrapper
+  over :func:`run_jobs`; the default everywhere and the reference
+  semantics (bit-for-bit identical to serial in-process execution);
 - :class:`~repro.dist.DistributedExecutor` — shards the batch across
   remote ``repro.serve`` daemons by consistent-hashing each job's
   fingerprint (docs/DIST.md).
 
-The contract every backend must honor, pinned by the dist test suite's
-bit-identity checks:
+Both plan a batch with :func:`~repro.runner.plan.plan_batch` and
+settle it through its :class:`~repro.runner.plan.BatchPlan`, which is
+where this contract is written once (pinned by the pool and dist test
+suites):
 
 - results align index-for-index with ``jobs``;
 - a local ``cache`` is consulted first and fresh results are written

@@ -1,37 +1,37 @@
-"""Parallel job execution: a process-per-job pool with timeouts, retry,
-and cache integration.
+"""Parallel job execution: one supervised pool of warm workers, shared
+by campaigns and the serve daemon.
 
-Simulation jobs are seconds-to-minutes of pure Python, so the pool runs
-each job in its own ``multiprocessing`` process (fork-started where
-available) under a bounded concurrency limit instead of reusing long-
-lived workers — that is what makes real per-job timeouts (terminate the
-process) and crash detection (exit code without a result) simple and
-reliable. Results cross the process boundary as serialized envelopes
+A :class:`Worker` forks once — inheriting the fully imported simulator
+and every runtime-registered workload kind — and then loops ``recv job
+-> execute_job -> send envelope`` until it receives the drain sentinel.
+Results cross the pipe as serialized envelopes
 (:mod:`repro.runner.serialize`), the same representation the cache
 stores, so pooled, cached, and in-process execution are interchangeable
-bit-for-bit.
+bit-for-bit. :func:`run_jobs` drives ``min(max_workers, pending)``
+workers for the length of one call; the serve daemon
+(:mod:`repro.serve.server`) keeps a :class:`WorkerPool` for its
+lifetime. Every process this package creates is created here.
 
-Fault policy:
+Fault policy (one rule, :meth:`Worker.recover`, for both callers):
 
 - a **crashed** worker (killed, segfaulted, exited without reporting)
-  or a **timed-out** job is retried once in a fresh process; a second
-  failure raises :class:`CampaignJobError`;
-- a job that raises an ordinary Python exception is *not* retried — the
-  simulation is deterministic, so the retry would fail identically —
-  and the error is re-raised as :class:`CampaignJobError` carrying the
-  worker's traceback;
+  or a **timed-out** job gets its worker killed and respawned, and the
+  job is retried once; a second failure is terminal;
+- a job that raises an ordinary Python exception is terminal at once —
+  the simulation is deterministic, so a retry would fail identically;
+- a binding serve ``deadline_s`` is terminal at once;
+- a terminal failure never cuts the batch short: every other job
+  settles (and is cached) first, then :class:`CampaignJobError` is
+  raised, carrying the worker's traceback;
 - if worker processes cannot be started at all (no ``fork``/``spawn``,
   sandboxed CI, ``REPRO_JOBS=1``), execution falls back to the plain
-  in-process loop, which has no extra failure modes;
-- a :class:`KeyboardInterrupt` (or any other fatal error) terminates and
+  in-process loop, the reference semantics;
+- a :class:`KeyboardInterrupt` (or any other fatal error) kills and
   joins every live worker before re-raising — an interrupted campaign
   leaves no orphaned children behind.
 
-Jobs with identical fingerprints within one :func:`run_jobs` call are
-**deduplicated**: the first occurrence executes, the rest receive a
-serialized copy of its result (the serving layer leans on the same
-collapse for in-flight requests; campaigns with repeated conditions get
-it for free).
+Batch planning — fingerprints, cache hits, same-fingerprint dedup and
+warm-start prefix gating — is :func:`repro.runner.plan.plan_batch`.
 
 Environment knobs: ``REPRO_JOBS`` (worker count; ``0`` = CPU count;
 default ``1`` = in-process) and ``REPRO_JOB_TIMEOUT`` (seconds per job;
@@ -40,36 +40,40 @@ default: none).
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import multiprocessing
 import time
 import traceback
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait as connection_wait
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro import settings
 from repro.core.metrics import RunResult
-from repro.errors import ReproError
-from repro.runner.cache import ResultCache, job_fingerprint
+from repro.runner.cache import ResultCache
 from repro.runner.campaign import (
     Job,
     execute_job,
+    job_from_dict,
     pop_warm_start_note,
-    prefix_eligible,
 )
+from repro.runner.plan import BatchPlan, CampaignJobError, plan_batch
 from repro.runner.progress import CampaignProgress, env_echo
 from repro.runner.serialize import result_from_dict, result_to_dict
-from repro.snapshot.prefix import (
-    PrefixStore,
-    prefix_divergence_epoch,
-    prefix_key,
-    prefix_store_dir,
-)
+from repro.snapshot.prefix import PrefixStore, prefix_store_dir
 
+__all__ = [
+    "CampaignJobError",
+    "Worker",
+    "WorkerPool",
+    "default_max_workers",
+    "default_timeout_s",
+    "run_jobs",
+]
 
-class CampaignJobError(ReproError):
-    """A campaign job failed (worker exception, repeated crash, or
-    repeated timeout)."""
+#: Sent down a worker's pipe to make it leave its loop.
+_DRAIN = None
 
 
 def default_max_workers() -> int:
@@ -90,23 +94,166 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
-def _pool_worker(job: Job, conn: Connection) -> None:
-    """Worker-process entry: run the job, ship the serialized result."""
-    try:
-        envelope = result_to_dict(execute_job(job))
-        conn.send(("ok", envelope, pop_warm_start_note()))
-    except BaseException as exc:  # report *everything* before dying
-        conn.send(("err", type(exc).__name__, str(exc), traceback.format_exc()))
-    finally:
-        conn.close()
+def _worker_main(conn: Connection, supervisor_end: Connection) -> None:
+    """Worker-process body: run jobs until drained or orphaned.
+
+    A request is a job dict (:meth:`Job.to_dict`); the reply is
+    ``("ok", envelope, warm_start_note)`` or
+    ``("err", exc_name, exc_text, traceback)``.
+
+    A finished simulation is garbage held in reference cycles (its
+    simulated memory arrays among them) that only a full collection
+    frees, so each job's garbage is collected once its reply is sent and
+    a warm worker's RSS stays about one job's. The inherited, imported
+    heap never becomes garbage; freezing it keeps those collections
+    cheap.
+    """
+    # The fork inherited the supervisor's end of this pipe: close it, or
+    # a supervisor that dies without draining us is never seen as EOF.
+    supervisor_end.close()
+    gc.freeze()
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):  # the supervisor died or closed us
+            break
+        if message is _DRAIN:
+            break
+        fatal = False
+        try:
+            envelope = result_to_dict(execute_job(job_from_dict(message)))
+            reply: tuple = ("ok", envelope, pop_warm_start_note())
+        except BaseException as exc:  # report everything before dying
+            reply = ("err", type(exc).__name__, str(exc), traceback.format_exc())
+            fatal = not isinstance(exc, Exception)  # KeyboardInterrupt etc.
+        try:
+            conn.send(reply)
+        except (OSError, ValueError):
+            break
+        if fatal:
+            break
+        gc.collect()
+    conn.close()
+
+
+class Worker:
+    """One warm worker process and its duplex pipe."""
+
+    def __init__(self, wid: int) -> None:
+        self.id = wid
+        self.process: multiprocessing.process.BaseProcess | None = None
+        self.conn: Connection | None = None
+        self.restarts = -1  # the first spawn() brings this to 0
+        self.spawn()
+
+    def spawn(self) -> None:
+        """Fork the worker (raises OSError where processes cannot start)."""
+        ctx = _mp_context()
+        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        process = ctx.Process(
+            target=_worker_main,
+            args=(child_conn, parent_conn),
+            daemon=True,
+            name=f"repro-worker-{self.id}",
+        )
+        try:
+            process.start()
+        except BaseException:
+            parent_conn.close()
+            raise
+        finally:
+            child_conn.close()
+        self.process = process
+        self.conn = parent_conn
+        self.restarts += 1
+
+    @property
+    def alive(self) -> bool:
+        return self.process is not None and self.process.is_alive()
+
+    @property
+    def exitcode(self) -> int | None:
+        return self.process.exitcode if self.process is not None else None
+
+    def submit(self, job: Job) -> None:
+        """Ship one job down the pipe (OSError/ValueError if the worker is
+        gone — a crash, as far as the fault rule is concerned)."""
+        assert self.conn is not None
+        self.conn.send(job.to_dict())
+
+    def signal(self, kill: bool = False) -> None:
+        """First phase of a stop: kill outright, or ask to drain."""
+        if kill and self.process is not None:
+            with contextlib.suppress(OSError):
+                self.process.kill()
+        elif self.conn is not None:
+            with contextlib.suppress(OSError, ValueError):
+                self.conn.send(_DRAIN)
+
+    def stop(self, timeout: float = 5.0) -> None:
+        """Second phase: close the pipe and reap, killing a straggler."""
+        if self.conn is not None:
+            with contextlib.suppress(OSError):
+                self.conn.close()
+            self.conn = None
+        if self.process is not None:
+            self.process.join(timeout=timeout)
+            if self.process.is_alive():
+                self.process.kill()
+                self.process.join(timeout=5)
+            self.process = None
+
+    def respawn(self) -> None:
+        self.signal(kill=True)
+        self.stop()
+        self.spawn()
+
+    def recover(self, attempt: int, *, terminal: bool = False) -> bool:
+        """The fault rule for a crash or timeout: kill and respawn this
+        worker; True when the job it held gets its one retry (a first
+        attempt that did not overrun a binding deadline)."""
+        self.respawn()
+        return attempt == 0 and not terminal
+
+
+class WorkerPool:
+    """A fixed set of warm workers."""
+
+    def __init__(self, size: int) -> None:
+        self.workers: list[Worker] = []
+        try:
+            for wid in range(size):
+                self.workers.append(Worker(wid))
+        except BaseException:
+            self.stop(kill=True)
+            raise
+
+    def __len__(self) -> int:
+        return len(self.workers)
+
+    @property
+    def alive(self) -> int:
+        return sum(1 for w in self.workers if w.alive)
+
+    @property
+    def restarts(self) -> int:
+        return sum(w.restarts for w in self.workers)
+
+    def stop(self, *, kill: bool = False, timeout: float = 5.0) -> None:
+        # Two-phase so an interrupt (^C) cannot orphan workers: signal
+        # every worker first, then join — exits overlap, and a second
+        # interrupt mid-join still finds everyone already stopping.
+        try:
+            for worker in self.workers:
+                worker.signal(kill)
+        finally:
+            for worker in self.workers:
+                worker.stop(timeout=timeout)
 
 
 @dataclass
 class _Running:
     index: int
-    job: Job
-    process: multiprocessing.process.BaseProcess
-    conn: Connection
     deadline: float | None
     started: float
     attempt: int
@@ -135,269 +282,114 @@ def run_jobs(
         progress = CampaignProgress(len(jobs), echo=env_echo())
     if progress.workers is None:
         progress.workers = max_workers
-
-    results: list[RunResult | None] = [None] * len(jobs)
-    fingerprints: list[str | None] = [None] * len(jobs)
-    pending: list[int] = []
-    # Jobs with identical fingerprints run once: the first occurrence is
-    # the leader, the rest receive a serialized copy of its result.
-    leaders: dict[str, int] = {}
-    followers: dict[int, list[int]] = {}
-
-    for i, job in enumerate(jobs):
-        fingerprints[i] = job_fingerprint(job)
-        if cache is not None:
-            hit = cache.get(fingerprints[i])
-            if hit is not None:
-                results[i] = hit
-                progress.job_finished(job.describe(), cached=True, elapsed=0.0)
-                continue
-        leader = leaders.get(fingerprints[i])
-        if leader is None:
-            leaders[fingerprints[i]] = i
-            pending.append(i)
-        else:
-            followers.setdefault(leader, []).append(i)
-
-    def finish_fresh(
-        i: int, result: RunResult, elapsed: float, note: str | None = None
-    ) -> None:
-        results[i] = result
-        if cache is not None and fingerprints[i] is not None:
-            cache.put(fingerprints[i], result, job=jobs[i])
-        progress.job_finished(
-            jobs[i].describe(), cached=False, elapsed=elapsed, warm=note
-        )
-        for dup in followers.get(i, ()):
-            # The round-trip hands each duplicate its own equal object,
-            # exactly as if it had crossed a worker pipe itself.
-            results[dup] = result_from_dict(result_to_dict(result))
-            progress.job_deduped(jobs[dup].describe())
-
-    if pending and max_workers > 1:
-        pending = _run_pooled(
-            jobs,
-            pending,
-            max_workers,
-            timeout_s,
-            progress,
-            finish_fresh,
-            _prefix_gates(jobs, pending),
-        )
-
-    # In-process path: REPRO_JOBS=1, pool unavailable, or pool leftovers.
-    for i in pending:
-        began = time.monotonic()
-        result = execute_job(jobs[i])
-        finish_fresh(i, result, time.monotonic() - began, note=pop_warm_start_note())
-
-    return results  # type: ignore[return-value]  # every slot is filled
-
-
-def _prefix_gates(jobs: Sequence[Job], pending: Sequence[int]) -> dict[int, int]:
-    """Map each warm-start follower to the leader whose run will capture
-    its group's prefix.
-
-    With ``REPRO_PREFIX_DIR`` set, pending jobs that share a prefix key
-    whose prefix is not yet stored must not all cold-start concurrently —
-    that would re-simulate the shared warmup once per worker and store
-    whichever capture linked first. Instead the first job of each group
-    runs (and captures) while the rest are held back until it finishes.
-    Groups whose prefix is already stored need no gate: every member
-    forks immediately.
-    """
     root = prefix_store_dir()
-    if root is None:
-        return {}
-    store = PrefixStore(root)
-    epoch = prefix_divergence_epoch()
-    groups: dict[str, list[int]] = {}
-    for i in pending:
-        if not prefix_eligible(jobs[i]):
+    plan = plan_batch(
+        jobs,
+        cache=cache,
+        progress=progress,
+        warm_start=root is not None,
+        stored=PrefixStore(root) if root is not None else (),
+    )
+
+    leftovers = plan.pending
+    if leftovers and max_workers > 1:
+        leftovers = _run_pooled(plan, max_workers, timeout_s)
+    # In-process path: REPRO_JOBS=1, pool unavailable, or pool leftovers.
+    # Job order keeps every gate leader ahead of the followers it holds.
+    for i in sorted(leftovers):
+        began = time.monotonic()
+        try:
+            result = execute_job(jobs[i])
+        except Exception as exc:
+            plan.fail(i, f"{type(exc).__name__}: {exc}", exc)
             continue
-        key = prefix_key(jobs[i], epoch)
-        if key in store:
-            continue
-        groups.setdefault(key, []).append(i)
-    return {i: group[0] for group in groups.values() for i in group[1:]}
+        plan.settle(
+            i, result, elapsed=time.monotonic() - began, warm=pop_warm_start_note()
+        )
+    return plan.outcome()
 
 
-def _run_pooled(
-    jobs: Sequence[Job],
-    pending: list[int],
-    max_workers: int,
-    timeout_s: float | None,
-    progress: CampaignProgress,
-    finish_fresh,
-    gates: dict[int, int] | None = None,
-) -> list[int]:
-    """Drain ``pending`` through worker processes.
+def _run_pooled(plan: BatchPlan, max_workers: int, timeout_s: float | None) -> list[int]:
+    """Drain the plan's pending jobs through warm workers.
 
-    ``gates`` (follower index -> leader index) holds warm-start followers
-    out of the queue until their group's prefix capture has finished.
-    Returns indices that should run in-process instead (pool could not
-    start at all); raises :class:`CampaignJobError` on job failure.
+    Held warm-start followers join the queue when their gate leader
+    settles. Returns the indices that must run in-process instead (the
+    pool could not start, or lost every worker).
     """
-    ctx = _mp_context()
-    gates = gates or {}
-    held: dict[int, list[int]] = {}
-    for follower, leader in gates.items():
-        held.setdefault(leader, []).append(follower)
-    queue = [i for i in pending if i not in gates]
-    running: dict[int, _Running] = {}
+    try:
+        pool = WorkerPool(min(max_workers, len(plan.pending)))
+    except OSError:
+        return plan.pending
+    queue = plan.ready()
+    idle = list(pool.workers)
+    running: dict[Worker, _Running] = {}
 
-    def finish_and_release(
-        index: int, result: RunResult, elapsed: float, note: str | None = None
-    ) -> None:
-        finish_fresh(index, result, elapsed, note)
-        # The leader is done (prefix stored, or the capture window closed
-        # and the group degrades to cold runs): its followers may go.
-        queue.extend(sorted(held.pop(index, ())))
-
-    def launch(index: int, attempt: int) -> bool:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_pool_worker, args=(jobs[index], child_conn), daemon=True
-        )
-        try:
-            process.start()
-        except OSError:
-            parent_conn.close()
-            child_conn.close()
-            return False
-        child_conn.close()
+    def start(worker: Worker, index: int, attempt: int) -> None:
         now = time.monotonic()
-        running[index] = _Running(
-            index=index,
-            job=jobs[index],
-            process=process,
-            conn=parent_conn,
-            deadline=(now + timeout_s) if timeout_s else None,
-            started=now,
-            attempt=attempt,
+        running[worker] = _Running(
+            index, (now + timeout_s) if timeout_s else None, now, attempt
         )
-        return True
-
-    def reap(entry: _Running) -> None:
-        entry.conn.close()
-        entry.process.join(timeout=5)
-        if entry.process.is_alive():  # pragma: no cover - stuck worker
-            entry.process.kill()
-            entry.process.join()
-
-    def abort_all() -> None:
-        # Two-phase teardown so an interrupt (^C) cannot orphan workers:
-        # signal every live process *first*, then join — a second
-        # KeyboardInterrupt landing mid-join still finds everyone already
-        # terminating, and the finally sweep kills any straggler.
         try:
-            for entry in running.values():
-                try:
-                    entry.process.terminate()
-                except OSError:  # pragma: no cover - already gone
-                    pass
-            for entry in running.values():
-                entry.conn.close()
-                entry.process.join(timeout=5)
-        finally:
-            for entry in running.values():
-                if entry.process.is_alive():
-                    entry.process.kill()
-                    entry.process.join(timeout=5)
-            running.clear()
+            worker.submit(plan.jobs[index])
+        except (OSError, ValueError):
+            fault(worker, "worker pipe closed")
 
-    def crash_or_retry(entry: _Running, reason: str) -> None:
-        del running[entry.index]
-        reap(entry)
-        if entry.attempt == 0:
-            progress.job_retried(entry.job.describe(), reason)
-            if not launch(entry.index, attempt=1):  # pragma: no cover
-                queue.append(entry.index)
+    def fault(worker: Worker, reason: str) -> None:
+        entry = running.pop(worker)
+        describe = plan.jobs[entry.index].describe()
+        try:
+            retry = worker.recover(entry.attempt)
+        except OSError:  # cannot respawn: retire the worker
+            pool.workers.remove(worker)
+            queue.insert(0, entry.index)
+            return
+        if retry:
+            plan.progress.job_retried(describe, reason)
+            start(worker, entry.index, attempt=1)
         else:
-            progress.job_failed(entry.job.describe(), reason)
-            abort_all()
-            raise CampaignJobError(
-                f"job {entry.job.describe()} failed twice: {reason}"
-            )
+            idle.append(worker)
+            queue.extend(plan.fail(entry.index, f"failed twice: {reason}"))
 
     try:
         while queue or running:
-            while queue and len(running) < max_workers:
-                index = queue.pop(0)
-                if not launch(index, attempt=0):
-                    # Cannot start processes here: hand everything still
-                    # unstarted back to the in-process loop.
-                    leftovers = [index] + queue
-                    queue.clear()
-                    while running:
-                        _wait_one(
-                            running, progress, finish_and_release, crash_or_retry
-                        )
-                    # Followers released while draining, then any still
-                    # held: list order keeps each leader ahead of its
-                    # group, so the in-process loop still warm-starts.
-                    leftovers.extend(queue)
-                    leftovers.extend(
-                        sorted(i for group in held.values() for i in group)
-                    )
-                    return leftovers
-            _wait_one(running, progress, finish_and_release, crash_or_retry)
-    except BaseException:
-        abort_all()
-        raise
-    return []
-
-
-def _wait_one(
-    running: dict[int, _Running],
-    progress: CampaignProgress,
-    finish_fresh,
-    crash_or_retry,
-) -> None:
-    """Block briefly; settle every worker that finished, crashed, or
-    timed out."""
-    if not running:
-        return
-    now = time.monotonic()
-    wait_for = 0.25
-    for entry in running.values():
-        if entry.deadline is not None:
-            wait_for = min(wait_for, max(0.0, entry.deadline - now))
-    ready = connection_wait([e.conn for e in running.values()], timeout=wait_for)
-    ready_set = set(ready)
-    now = time.monotonic()
-    for entry in list(running.values()):
-        if entry.conn in ready_set:
-            try:
-                message = entry.conn.recv()
-            except EOFError:
-                # Pipe closed with nothing sent: the worker died.
-                entry.process.join(timeout=5)
-                crash_or_retry(
-                    entry, f"worker exited (code {entry.process.exitcode})"
-                )
-                continue
-            del running[entry.index]
-            reaped = entry
-            reaped.conn.close()
-            reaped.process.join()
-            if message[0] == "ok":
-                finish_fresh(
-                    entry.index,
-                    result_from_dict(message[1]),
-                    now - entry.started,
-                    message[2] if len(message) > 2 else None,
-                )
-            else:
-                _, name, text, trace = message
-                progress.job_failed(entry.job.describe(), f"{name}: {text}")
-                raise CampaignJobError(
-                    f"job {entry.job.describe()} raised {name}: {text}\n{trace}"
-                )
-        elif entry.deadline is not None and now >= entry.deadline:
-            entry.process.terminate()
-            crash_or_retry(entry, f"timeout after {now - entry.started:.1f}s")
-        elif entry.process.exitcode is not None and not entry.conn.poll():
-            crash_or_retry(
-                entry, f"worker exited (code {entry.process.exitcode})"
+            while queue and idle:
+                start(idle.pop(), queue.pop(0), attempt=0)
+            if not running:  # every worker retired
+                break
+            # Block briefly; settle every worker that replied, died, or
+            # ran past its deadline.
+            now = time.monotonic()
+            wait_for = min(
+                [0.25]
+                + [max(0.0, e.deadline - now) for e in running.values() if e.deadline]
             )
+            ready = set(connection_wait([w.conn for w in running], timeout=wait_for))
+            now = time.monotonic()
+            for worker, entry in list(running.items()):
+                if worker.conn in ready:
+                    try:
+                        reply: Any = worker.conn.recv()
+                    except (EOFError, OSError):  # pipe closed, nothing sent
+                        worker.process.join(timeout=5)
+                        fault(worker, f"worker exited (code {worker.exitcode})")
+                        continue
+                    del running[worker]
+                    idle.append(worker)
+                    if reply[0] == "ok":
+                        queue.extend(plan.settle(
+                            entry.index,
+                            result_from_dict(reply[1]),
+                            elapsed=now - entry.started,
+                            warm=reply[2],
+                        ))
+                    else:
+                        _, name, text, trace = reply
+                        reason = f"raised {name}: {text}"
+                        queue.extend(plan.fail(entry.index, reason, trace))
+                elif entry.deadline is not None and now >= entry.deadline:
+                    fault(worker, f"timeout after {now - entry.started:.1f}s")
+    except BaseException:
+        pool.stop(kill=True)
+        raise
+    pool.stop()
+    return queue + [i for group in plan.held.values() for i in group]

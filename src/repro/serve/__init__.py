@@ -1,17 +1,17 @@
 """``repro.serve`` — a long-running simulation service.
 
 The serving layer turns the one-shot ``python -m repro run`` flow into a
-daemon: a fixed pool of warm forked workers executes jobs submitted over
-a Unix or TCP socket (newline-delimited JSON), requests are deduplicated
-against the content-addressed result cache and against each other while
-in flight, and admission control sheds load with structured
+daemon: a fixed pool of warm forked workers (the
+:class:`~repro.runner.pool.WorkerPool` campaigns use too) executes jobs
+submitted over a Unix or TCP socket (newline-delimited JSON), requests
+are deduplicated against the content-addressed result cache and against
+each other while in flight, and admission control sheds load with structured
 ``overloaded`` rejections instead of unbounded queueing. Live
 ``health``/``stats`` verbs expose the daemon's metrics registry.
 
 Modules:
 
 - :mod:`repro.serve.protocol` — wire format, verbs, error codes;
-- :mod:`repro.serve.workers`  — the warm worker pool;
 - :mod:`repro.serve.server`   — the asyncio daemon (dedup, backpressure,
   supervision, graceful drain);
 - :mod:`repro.serve.client`   — blocking client library;

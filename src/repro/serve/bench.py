@@ -1,4 +1,4 @@
-"""Load generator for the simulation service (``repro serve-bench``).
+"""Load generator for the simulation service (``repro serve bench``).
 
 Three phases, each optional, one JSON report (``BENCH_serve.json``):
 
@@ -331,7 +331,7 @@ def _start_daemon(
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro serve-bench", description=__doc__.splitlines()[0]
+        prog="repro serve bench", description=__doc__.splitlines()[0]
     )
     parser.add_argument("--socket", default=None, help="daemon unix socket path")
     parser.add_argument("--host", default=None, help="daemon TCP host")

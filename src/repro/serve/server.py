@@ -2,7 +2,8 @@
 
 An asyncio event loop accepts newline-delimited JSON requests on a Unix
 or TCP socket (:mod:`repro.serve.protocol`) and serves ``run`` requests
-from a warm :class:`~repro.serve.workers.WorkerPool`:
+from a warm :class:`~repro.runner.pool.WorkerPool` — the same workers
+and worker loop the local campaign pool drives:
 
 - **cache first** — a request whose fingerprint is already in the
   content-addressed :class:`~repro.runner.cache.ResultCache` is answered
@@ -16,9 +17,9 @@ from a warm :class:`~repro.serve.workers.WorkerPool`:
 - **deadlines** — a per-request ``deadline_s`` expires the request in
   queue (cheap) or kills the worker mid-run (reclaims it);
 - **supervision** — a worker that crashes or overruns the job timeout is
-  killed, respawned, and the job retried once (the same fault policy as
-  :mod:`repro.runner.pool`); a second failure is an error response, not
-  a dead daemon;
+  killed, respawned, and the job retried once (the one fault rule,
+  :meth:`~repro.runner.pool.Worker.recover`); a second failure is an
+  error response, not a dead daemon;
 - **graceful drain** — SIGTERM/SIGINT (or the ``shutdown`` verb) stops
   accepting connections, finishes in-flight work within the drain
   timeout, answers everything still queued with ``shutting-down``, and
@@ -50,7 +51,8 @@ from repro.core.config import RevokerKind
 from repro.errors import ConfigError
 from repro.obs.metrics import MetricsRegistry
 from repro.runner.cache import ResultCache, job_fingerprint
-from repro.runner.campaign import job_from_dict, registered_workloads
+from repro.runner.campaign import Job, job_from_dict, registered_workloads
+from repro.runner.pool import Worker, WorkerPool
 from repro.runner.serialize import SerializationError
 from repro.serve.protocol import (
     DEFAULT_MAX_LINE_BYTES,
@@ -73,7 +75,6 @@ from repro.serve.protocol import (
     ok_response,
     parse_request,
 )
-from repro.serve.workers import WorkerPool, Worker, conn_recv
 
 
 def default_serve_workers() -> int:
@@ -150,7 +151,7 @@ class _Task:
     """One admitted fresh execution; followers share its futures list."""
 
     fingerprint: str
-    job_data: dict[str, Any]
+    job: Job
     describe: str
     deadline: float | None
     enqueued: float
@@ -175,7 +176,6 @@ class SimulationServer:
         self._queue: asyncio.Queue = None  # type: ignore[assignment]
         self._inflight: dict[str, _Task] = {}
         self._executing = 0
-        self._seq = 0
         self._draining = False
         self._connections: set[asyncio.StreamWriter] = set()
         self._handlers: set[asyncio.Task] = set()
@@ -218,7 +218,7 @@ class SimulationServer:
             settings.set_env("prefix_dir", str(self.cfg.prefix_dir))
         self.pool = WorkerPool(self.cfg.workers)
         supervisors = [
-            asyncio.ensure_future(self._worker_loop(worker))
+            asyncio.ensure_future(self._supervise(worker))
             for worker in self.pool.workers
         ]
 
@@ -486,7 +486,7 @@ class SimulationServer:
         future = loop.create_future()
         task = _Task(
             fingerprint=fingerprint,
-            job_data=job.to_dict(),
+            job=job,
             describe=job.describe(),
             deadline=(began + deadline_s) if deadline_s is not None else None,
             enqueued=began,
@@ -574,7 +574,7 @@ class SimulationServer:
 
     # --- Worker supervision ----------------------------------------------
 
-    async def _worker_loop(self, worker: Worker) -> None:
+    async def _supervise(self, worker: Worker) -> None:
         assert self._loop is not None
         while True:
             task = await self._queue.get()
@@ -597,63 +597,63 @@ class SimulationServer:
             )
             self._executing += 1
             try:
-                await self._execute(worker, task, attempt=0)
+                await self._execute(worker, task)
             finally:
                 self._executing -= 1
 
-    async def _execute(self, worker: Worker, task: _Task, attempt: int) -> None:
+    async def _execute(self, worker: Worker, task: _Task) -> None:
+        """Run one task on ``worker`` under the pool's fault rule."""
         assert self._loop is not None
-        self._seq += 1
-        seq = self._seq
-        now = self._loop.time()
-        job_timeout = self.cfg.job_timeout_s
-        deadline_left = (
-            task.deadline - now if task.deadline is not None else None
-        )
-        timeout = job_timeout
-        deadline_is_binding = False
-        if deadline_left is not None and (
-            timeout is None or deadline_left <= timeout
-        ):
-            timeout = deadline_left
-            deadline_is_binding = True
-        try:
-            worker.submit(seq, task.job_data)
-        except (OSError, ValueError):
-            await self._recover(worker, task, attempt, "crash", "worker pipe closed")
-            return
-        began = self._loop.time()
-        try:
-            assert worker.conn is not None
-            message = await asyncio.wait_for(conn_recv(worker.conn), timeout=timeout)
-        except asyncio.TimeoutError:
-            elapsed = self._loop.time() - began
-            kind = "deadline" if deadline_is_binding else "timeout"
-            await self._recover(
-                worker, task, attempt, kind,
-                f"{'deadline expired' if deadline_is_binding else 'timed out'} "
-                f"after {elapsed:.3f}s on worker {worker.id}",
+        attempt = 0
+        while True:
+            began = self._loop.time()
+            timeout = self.cfg.job_timeout_s
+            binding = task.deadline is not None and (
+                timeout is None or task.deadline - began <= timeout
             )
-            return
-        except (EOFError, OSError):
-            exitcode = worker.process.exitcode if worker.process else None
-            await self._recover(
-                worker, task, attempt, "crash",
-                f"worker {worker.id} exited (code {exitcode})",
-            )
-            return
-        if message[0] != seq:  # pragma: no cover - defensive desync guard
-            await self._recover(
-                worker, task, attempt, "crash",
-                f"worker {worker.id} answered out of sequence",
-            )
-            return
-        worker.jobs_done += 1
+            if binding:
+                timeout = task.deadline - began
+            try:
+                worker.submit(task.job)
+                reply = await asyncio.wait_for(_await_reply(worker), timeout=timeout)
+            except asyncio.TimeoutError:
+                kind = "deadline" if binding else "timeout"
+                detail = (
+                    f"{'deadline expired' if binding else 'timed out'} after "
+                    f"{self._loop.time() - began:.3f}s on worker {worker.id}"
+                )
+            except (EOFError, OSError, ValueError):
+                kind = "crash"
+                detail = f"worker {worker.id} exited (code {worker.exitcode})"
+            else:
+                self._finish(task, reply, began)
+                return
+            retry = worker.recover(attempt, terminal=kind == "deadline")
+            self.metrics.counter("serve.worker_restarts").inc()
+            if kind == "deadline":
+                self.metrics.counter("serve.deadline_misses").inc()
+                self._resolve(task, ("error", E_DEADLINE, detail))
+                return
+            self.metrics.counter(
+                "serve.worker_crashes" if kind == "crash" else "serve.worker_timeouts"
+            ).inc()
+            if not retry:
+                self._log(f"job {task.describe} failed twice: {detail}")
+                self._resolve(
+                    task, ("error", E_JOB_FAILED, f"job failed twice: {detail}")
+                )
+                return
+            self.metrics.counter("serve.retries").inc()
+            self._log(f"retrying {task.describe}: {detail}")
+            attempt = 1
+
+    def _finish(self, task: _Task, reply: tuple, began: float) -> None:
+        assert self._loop is not None
         self.metrics.histogram("serve.exec_us").observe(
             max(0.0, (self._loop.time() - began) * 1e6)
         )
-        if message[1] == "ok":
-            envelope = message[2]
+        if reply[0] == "ok":
+            envelope = reply[1]
             if self.cache is not None:
                 try:
                     self.cache.put_envelope(task.fingerprint, envelope)
@@ -661,34 +661,11 @@ class SimulationServer:
                     self._log(f"cache write failed for {task.describe}: {exc}")
             self._resolve(task, ("ok", envelope))
         else:
-            _, _, name, text, trace = message
+            _, name, text, _trace = reply
             self.metrics.counter("serve.job_failures").inc()
             code = E_INVALID_JOB if name == "ConfigError" else E_JOB_FAILED
             self._log(f"job {task.describe} raised {name}: {text}")
             self._resolve(task, ("error", code, f"{name}: {text}"))
-
-    async def _recover(
-        self, worker: Worker, task: _Task, attempt: int, kind: str, detail: str
-    ) -> None:
-        """Crash/timeout/deadline recovery: kill, respawn, maybe retry."""
-        worker.respawn()
-        self.metrics.counter("serve.worker_restarts").inc()
-        if kind == "deadline":
-            self.metrics.counter("serve.deadline_misses").inc()
-            self._resolve(task, ("error", E_DEADLINE, detail))
-            return
-        self.metrics.counter(
-            "serve.worker_crashes" if kind == "crash" else "serve.worker_timeouts"
-        ).inc()
-        if attempt == 0:
-            self.metrics.counter("serve.retries").inc()
-            self._log(f"retrying {task.describe}: {detail}")
-            await self._execute(worker, task, attempt=1)
-        else:
-            self._log(f"job {task.describe} failed twice: {detail}")
-            self._resolve(
-                task, ("error", E_JOB_FAILED, f"job failed twice: {detail}")
-            )
 
     # --- Introspection verbs ---------------------------------------------
 
@@ -745,7 +722,7 @@ class SimulationServer:
         )
 
     def _handle_list(self, request_id: Any) -> dict[str, Any]:
-        from repro.cli import _workload_names
+        from repro.cli._common import _workload_names
 
         return ok_response(
             request_id,
@@ -767,12 +744,13 @@ class SimulationServer:
                 E_BAD_REQUEST,
                 "daemon has no prefix store (start it with --prefix-dir)",
             )
-        key = request.payload.get("key")
-        if not isinstance(key, str) or not key:
-            return error_response(
-                request.id, E_BAD_REQUEST, "prefix verbs need a string 'key'"
-            )
-        return key
+        from repro.snapshot.prefix import PrefixKeyError, check_prefix_key
+
+        try:
+            return check_prefix_key(request.payload.get("key"))
+        except PrefixKeyError as exc:
+            self.metrics.counter("serve.protocol_errors").inc()
+            return error_response(request.id, E_BAD_REQUEST, str(exc))
 
     async def _handle_prefix_fetch(self, request: Request) -> dict[str, Any]:
         import base64
@@ -827,3 +805,19 @@ class SimulationServer:
         return ok_response(
             request.id, verb="prefix-put", key=key, stored=stored
         )
+
+
+async def _await_reply(worker: Worker) -> tuple:
+    """Await one reply from a worker's pipe without blocking the event
+    loop; a dead worker surfaces as ``EOFError``, as from a blocking
+    ``recv``."""
+    assert worker.conn is not None
+    loop = asyncio.get_running_loop()
+    readable = loop.create_future()
+    fd = worker.conn.fileno()
+    loop.add_reader(fd, lambda: readable.done() or readable.set_result(None))
+    try:
+        await readable
+    finally:
+        loop.remove_reader(fd)
+    return worker.conn.recv()

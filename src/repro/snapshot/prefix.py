@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -191,6 +192,24 @@ def fork_simulation(
     return sim, header
 
 
+class PrefixKeyError(SnapshotError):
+    """A prefix-store key that is not a :func:`prefix_key` digest."""
+
+
+_KEY_SHAPE = re.compile(r"[0-9a-f]{64}")
+
+
+def check_prefix_key(key: Any) -> str:
+    """``key`` if it has the shape of a :func:`prefix_key` digest (64
+    lowercase hex characters), else :class:`PrefixKeyError` — keys reach
+    the store from the serve wire and must never name a path."""
+    if not isinstance(key, str) or _KEY_SHAPE.fullmatch(key) is None:
+        raise PrefixKeyError(
+            f"bad prefix key {key!r}: expected 64 lowercase hex characters"
+        )
+    return key
+
+
 class PrefixStore:
     """Content-addressed store of warm-start prefix checkpoints."""
 
@@ -198,6 +217,7 @@ class PrefixStore:
         self.root = Path(root) if root is not None else default_prefix_dir()
 
     def _path_of(self, key: str) -> Path:
+        check_prefix_key(key)
         return self.root / "objects" / key[:2] / f"{key}.ckpt"
 
     def get(self, key: str) -> bytes | None:

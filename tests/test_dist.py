@@ -378,14 +378,34 @@ class TestPrefixWire:
         )
         try:
             with ServeClient(socket_path=sock) as client:
-                assert client.prefix_fetch("missing-key") is None
+                assert client.prefix_fetch("0" * 64) is None
                 blob = b"RPRSNAP not-a-real-checkpoint \x00\xff payload"
-                assert client.prefix_put("k1", blob) is True
-                assert client.prefix_put("k1", b"other") is False  # first wins
-                assert client.prefix_fetch("k1") == blob
-            assert PrefixStore(tmp_path / "store").get("k1") == blob
+                key = "ab" * 32
+                assert client.prefix_put(key, blob) is True
+                assert client.prefix_put(key, b"other") is False  # first wins
+                assert client.prefix_fetch(key) == blob
+            assert PrefixStore(tmp_path / "store").get(key) == blob
         finally:
             _stop_daemon(server, thread)
+
+    def test_keys_cannot_escape_the_store(self, tmp_path):
+        from repro.serve.client import RequestFailed
+
+        root = tmp_path / "a" / "b" / "store"
+        server, thread, sock = _start_daemon(tmp_path, "esc", prefix_dir=str(root))
+        try:
+            with ServeClient(socket_path=sock) as client:
+                for key in ("../../../escaped", "k1", "AB" * 32):
+                    with pytest.raises(RequestFailed, match="bad prefix key") as exc:
+                        client.prefix_put(key, b"x")
+                    assert exc.value.code == "bad-request"
+                    with pytest.raises(RequestFailed, match="bad prefix key") as exc:
+                        client.prefix_fetch(key)
+                    assert exc.value.code == "bad-request"
+                assert client.ping()  # the daemon lives on
+        finally:
+            _stop_daemon(server, thread)
+        assert not list(tmp_path.rglob("*.ckpt"))
 
     def test_daemon_without_store_rejects(self, pair):
         from repro.serve.client import RequestFailed

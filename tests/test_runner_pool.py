@@ -178,6 +178,35 @@ class TestFaultTolerance:
         assert progress.retries == 0
 
 
+class TestFailureSettlesTheBatch:
+    """The Executor contract: a terminal failure is raised only after
+    every other job has settled, been cached, and reached progress."""
+
+    @pytest.fixture
+    def batch(self, scratch_kind):
+        def maybe_boom(boom=False, n=0):
+            if boom:
+                raise RuntimeError("deterministic boom")
+            return _TinyWorkload()
+
+        kind = scratch_kind(maybe_boom)
+        return [Job(WorkloadSpec(kind, {"boom": True}), RevokerKind.NONE)] + [
+            Job(WorkloadSpec(kind, {"n": n}), RevokerKind.NONE) for n in range(3)
+        ]
+
+    @pytest.mark.parametrize("workers", [2, 1])
+    def test_other_jobs_settle_before_the_error(self, batch, tmp_path, workers):
+        cache = ResultCache(tmp_path)
+        progress = CampaignProgress(len(batch))
+        with pytest.raises(CampaignJobError, match="deterministic boom") as excinfo:
+            run_jobs(batch, max_workers=workers, cache=cache, progress=progress)
+        assert cache.entries() == 3
+        assert progress.done == 4
+        assert progress.failures == 1
+        if workers == 1:  # in-process: chained from the original exception
+            assert isinstance(excinfo.value.__cause__, RuntimeError)
+
+
 class TestInterruptCleanup:
     def test_keyboard_interrupt_reaps_workers(self, scratch_kind, monkeypatch):
         """^C mid-campaign must terminate every live worker before the
@@ -215,6 +244,52 @@ class TestInterruptCleanup:
             time.sleep(0.05)
         assert multiprocessing.active_children() == []
         assert time.monotonic() - began < 30  # reaped, not waited out
+
+
+class TestOrphanedWorkers:
+    def test_workers_exit_when_their_supervisor_is_killed(self):
+        """A supervisor SIGKILLed without draining its pool (a campaign
+        or daemon killed -9) must not leave warm workers blocked on
+        their pipes forever — respawned ones included."""
+        import signal
+        import subprocess
+        import sys
+
+        import repro
+
+        code = (
+            "import time\n"
+            "from repro.runner.pool import WorkerPool\n"
+            "pool = WorkerPool(3)\n"
+            "pool.workers[1].respawn()\n"
+            "print(*(w.process.pid for w in pool.workers), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, env=env
+        )
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        proc.stdout.close()
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10)
+
+        def alive(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().split()[2] != "Z"
+            except OSError:
+                return False
+
+        deadline = time.monotonic() + 10
+        while any(alive(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if alive(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert len(pids) == 3
+        assert survivors == []
 
 
 class TestDedup:

@@ -238,3 +238,16 @@ class TestLint:
             if pattern.search(path.read_text()):
                 offenders.append(str(path.relative_to(SRC)))
         assert offenders == []
+
+    def test_no_process_creation_outside_pool(self):
+        """One worker supervisor: runner/pool.py is the only module in
+        src/repro that creates worker processes."""
+        pattern = re.compile(r"\.Process\(|get_context\(|os\.fork\b")
+        pool = SRC / "runner" / "pool.py"
+        assert pattern.search(pool.read_text())  # the pattern still bites
+        offenders = [
+            str(path.relative_to(SRC))
+            for path in sorted(SRC.rglob("*.py"))
+            if path != pool and pattern.search(path.read_text())
+        ]
+        assert offenders == []

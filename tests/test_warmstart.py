@@ -4,6 +4,8 @@ atomicity, cross-revoker forking, and the runner integration
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.config import RevokerKind, SimulationConfig
@@ -16,15 +18,16 @@ from repro.runner.campaign import (
     pop_warm_start_note,
     prefix_eligible,
 )
-from repro.runner.pool import run_jobs
+from repro.runner.pool import WorkerPool, run_jobs
 from repro.runner.progress import CampaignProgress
-from repro.runner.serialize import dumps_result
+from repro.runner.serialize import dumps_result, result_from_dict
 from repro.snapshot import (
     SnapshotPlan,
     SnapshotSession,
     read_header,
 )
 from repro.snapshot.prefix import (
+    PrefixKeyError,
     PrefixStore,
     fork_simulation,
     prefix_key,
@@ -125,6 +128,23 @@ class TestPrefixStore:
         store.put_if_absent("00" * 32, b"a")
         names = [p.stem for p in store.paths()]
         assert names == sorted(names)
+
+    @pytest.mark.parametrize(
+        "key",
+        ["../../../escaped", "/etc/passwd", "AB" * 32, "ab" * 31, "ab" * 33, "", None],
+    )
+    def test_key_must_be_a_hex_digest(self, tmp_path, key):
+        # Keys reach the store from the serve wire: anything but a
+        # sha256 hex digest is refused before it can name a path.
+        root = tmp_path / "a" / "b" / "store"
+        store = PrefixStore(root)
+        with pytest.raises(PrefixKeyError):
+            store.put_if_absent(key, b"x")
+        with pytest.raises(PrefixKeyError):
+            store.get(key)
+        with pytest.raises(PrefixKeyError):
+            key in store
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
 class TestFork:
@@ -232,3 +252,29 @@ class TestRunJobsWarmStart:
         run_jobs(self._jobs(), max_workers=2, progress=progress)
         assert progress.prefix_captures == 0
         assert progress.prefix_hits == 4
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="warm workers need fork")
+class TestWarmWorkerIsolation:
+    def test_cold_job_after_prefix_hit_reports_no_note(self, tmp_path, monkeypatch):
+        """A warm worker runs many jobs in one process: a prefix-ineligible
+        job after a prefix hit must not inherit the hit's note (it would
+        inflate the campaign's prefix-hits count), and both results must
+        equal their in-process cold runs."""
+        jobs = [_job(RevokerKind.RELOADED), _job(RevokerKind.NONE)]
+        cold = [dumps_result(execute_job(job)) for job in jobs]
+        monkeypatch.setenv("REPRO_PREFIX_DIR", str(tmp_path))
+        execute_job(_job(RevokerKind.CORNUCOPIA))  # stores the group's prefix
+        assert pop_warm_start_note() == "capture"
+        pool = WorkerPool(1)
+        try:
+            worker = pool.workers[0]
+            replies = []
+            for job in jobs:
+                worker.submit(job)
+                replies.append(worker.conn.recv())
+        finally:
+            pool.stop()
+        assert [reply[0] for reply in replies] == ["ok", "ok"]
+        assert [reply[2] for reply in replies] == ["hit", None]
+        assert [dumps_result(result_from_dict(reply[1])) for reply in replies] == cold
