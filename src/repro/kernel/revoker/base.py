@@ -17,7 +17,7 @@ The granule scan runs vectorized by default (one numpy gather of the
 page's tagged bases against the shadow bitmap, one masked store to clear
 revoked tags — what a hardware sweep engine would pipeline); the original
 per-granule loop remains as the reference model behind ``REPRO_SCALAR=1``
-(see :mod:`repro.fastpath`).
+(see docs/PERF.md).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Generator, Iterable
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.fastpath import scalar_mode
 from repro.kernel.epoch import EpochClock
 from repro.kernel.hoards import KernelHoards, RegisterFile, ScanOutcome
 from repro.kernel.shadow import RevocationBitmap
@@ -40,6 +39,7 @@ from repro.machine.machine import Machine
 from repro.machine.pagetable import PTE
 from repro.machine.scheduler import CoreSlot
 from repro.obs.tracer import TRACER
+from repro.settings import scalar_mode
 
 #: Concurrent sweeps accumulate about this many cycles of page visits per
 #: scheduler yield. Coarser batching means fewer simulation steps; the

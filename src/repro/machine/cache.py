@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 
 from repro.errors import SimulationError
-from repro.fastpath import scalar_mode
 from repro.machine.costs import LINE_BYTES, LINES_PER_PAGE
 from repro.obs.tracer import TRACER
+from repro.settings import scalar_mode
 
 #: Spans at or below this many lines go straight to the scalar loop:
 #: the batched path's setup costs more than it saves on tiny accesses

@@ -6,9 +6,10 @@ trajectory is measured, stored, and enforced rather than hand-committed:
 
 - :mod:`repro.perf.registry` — the ``@benchmark`` catalog and
   :class:`Probe` (deterministic vs wall-clock metric kinds);
-- :mod:`repro.perf.targets` — built-in micro-targets (vector sweep scan,
-  cache span streaming, scheduler step, serialize round-trip, snapshot
-  save/restore) plus traced end-to-end runs;
+- :mod:`repro.perf.targets` — built-in micro-targets (sweep scan and
+  revoke plus cache span streaming, each timed on the vectorized path and
+  on the scalar reference; scheduler step, serialize round-trip,
+  snapshot save/restore) plus traced end-to-end runs;
 - :mod:`repro.perf.runner` — warmup/repetition control, env pinning,
   :class:`~repro.perf.report.PerfReport` (schema v1) emission;
 - :mod:`repro.perf.baselines` — the content-addressed store under
@@ -16,9 +17,10 @@ trajectory is measured, stored, and enforced rather than hand-committed:
 - :mod:`repro.perf.regression` — the MAD + bootstrap-CI detector
   classifying each metric ``improved``/``ok``/``noisy``/``regressed``.
 
-``python -m repro bench run/compare/baseline/list/convert`` is the CLI;
-the CI ``perf-gate`` job fails on regressed deterministic-cycle metrics
-and only warns on wall-clock noise (docs/BENCHMARKING.md).
+``python -m repro bench run/compare/baseline/list`` is the CLI, and the
+only producer of perf reports in the repo; the CI ``perf-gate`` job
+fails on regressed deterministic-cycle metrics and only warns on
+wall-clock noise (docs/BENCHMARKING.md).
 """
 
 from __future__ import annotations
@@ -55,9 +57,7 @@ from repro.perf.report import (
     PerfReport,
     check_overwrite,
     collect_env,
-    convert_legacy,
     git_sha,
-    recorded_sha,
 )
 from repro.perf.runner import Runner
 
@@ -88,9 +88,7 @@ __all__ = [
     "check_overwrite",
     "collect_env",
     "compare_reports",
-    "convert_legacy",
     "git_sha",
     "mad",
-    "recorded_sha",
     "select",
 ]

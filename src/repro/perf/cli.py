@@ -4,8 +4,7 @@
   store, ``--record`` moves the baseline ref to the fresh report);
 - ``compare``   classify one report JSON against the store or another file;
 - ``baseline``  ``record``/``show`` the content-addressed store;
-- ``list``      the registered catalog;
-- ``convert``   upgrade a retired legacy report to schema v1.
+- ``list``      the registered catalog.
 
 Exit codes are machine-readable: 0 clean, 1 at least one *deterministic*
 metric regressed (wall-clock regressions only warn — as GitHub
@@ -20,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from repro.errors import PerfError
 from repro.perf.baselines import BaselineStore
@@ -32,7 +30,7 @@ from repro.perf.regression import (
     Thresholds,
     compare_reports,
 )
-from repro.perf.report import PerfReport, convert_legacy
+from repro.perf.report import PerfReport
 from repro.perf.runner import Runner
 
 
@@ -102,19 +100,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for name, d in defs.items():
             suites = ",".join(d.suites)
             print(f"  {name:22s} [{suites}] {d.description}")
-        return 0
-
-    if args.bench_cmd == "convert":
-        try:
-            data = json.loads(Path(args.path).read_text())
-        except OSError as exc:
-            raise PerfError(f"cannot read legacy report: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise PerfError(f"legacy report is not valid JSON: {exc}") from exc
-        report = convert_legacy(data)
-        report.save(args.out)
-        print(f"converted {args.path} (suite {report.suite!r}, "
-              f"{len(report.benchmarks)} benchmarks) -> {args.out}")
         return 0
 
     store = BaselineStore(args.baseline_dir)
@@ -262,11 +247,5 @@ def add_bench_parser(sub: argparse._SubParsersAction) -> None:
 
     pl = bsub.add_parser("list", help="the registered benchmark catalog")
     pl.add_argument("--json", action="store_true")
-
-    pv = bsub.add_parser(
-        "convert", help="upgrade a legacy BENCH_*.json report to schema v1"
-    )
-    pv.add_argument("path", help="legacy report JSON")
-    pv.add_argument("out", help="schema-v1 output path")
 
     p.set_defaults(fn=cmd_bench)

@@ -2,8 +2,8 @@
 
 Every continuously-tracked performance target registers itself here with
 a dotted name (``sweep.scan``, ``snapshot.roundtrip``) and the suites it
-belongs to (``smoke`` runs on every PR, ``full`` nightly, ``sweep`` is
-the scalar-vs-vector microbenchmark's subset). A target is a plain
+belongs to (``smoke`` runs on every PR, ``full`` nightly, ``sweep``
+the sweep hot loops timed vectorized and scalar). A target is a plain
 function taking a :class:`Probe`; the runner calls it once per
 repetition and the probe collects what it measures:
 

@@ -8,15 +8,20 @@ plus traced end-to-end runs whose deterministic simulated-cycle metrics
 :class:`~repro.obs.metrics.MetricsRegistry`) gate hard in CI while the
 wall-clock series only warn.
 
-``benchmarks/bench_sweep_micro.py`` reuses the sweep rig below for its
-scalar-vs-vectorized comparison, so the standalone script and the
-registry measure the identical loops.
+The ``sweep`` suite (``sweep.scan``, ``sweep.revoke``, ``cache.span``)
+times each hot loop twice per repetition, on identically built state:
+the vectorized path as ``wall_s`` and the scalar reference
+(``REPRO_SCALAR=1``) as ``scalar_wall_s``. CI requires the best
+vectorized sample to be no slower than the best scalar one.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
+from repro import settings
 from repro.core.config import RevokerKind, SimulationConfig
 from repro.core.experiment import run_experiment
 from repro.core.metrics import LatencySample, RunResult
@@ -33,7 +38,7 @@ from repro.obs.tracer import tracing
 from repro.perf.registry import Probe, benchmark
 from repro.workloads import spec
 
-# --- The sweep rig (shared with benchmarks/bench_sweep_micro.py) ------------
+# --- The sweep rig ----------------------------------------------------------
 
 
 @dataclass
@@ -86,34 +91,45 @@ def sweep_scan(rig: SweepRig) -> EpochRecord:
     return record
 
 
-def sweep_victims(rig: SweepRig) -> list[tuple[int, int]]:
-    """Every other planted capability, as (addr, nbytes) paint targets."""
+def sweep_condemn(rig: SweepRig) -> None:
+    """Paint every other planted capability, so a sweep also runs the
+    tag-clearing store."""
     stride = PAGE_BYTES // rig.caps_per_page
-    return [
-        (rig.heap.base + page * PAGE_BYTES + i * stride, GRANULE_BYTES)
-        for page in range(rig.pages)
-        for i in range(0, rig.caps_per_page, 2)
-    ]
-
-
-def sweep_paint(rig: SweepRig, victims: list[tuple[int, int]]) -> None:
-    for addr, nbytes in victims:
-        rig.kernel.shadow.paint(addr, nbytes)
-
-
-def sweep_unpaint(rig: SweepRig, victims: list[tuple[int, int]]) -> None:
-    rig.kernel.shadow.unpaint_many(victims)
-
-
-def sweep_replant(rig: SweepRig, victims: list[tuple[int, int]]) -> None:
-    for addr, _ in victims:
-        rig.core.store_cap(
-            rig.heap.with_address(addr), rig.heap.derive(addr, GRANULE_BYTES)
-        )
+    for page in range(rig.pages):
+        for i in range(0, rig.caps_per_page, 2):
+            addr = rig.heap.base + page * PAGE_BYTES + i * stride
+            rig.kernel.shadow.paint(addr, GRANULE_BYTES)
 
 
 def _sweep_sizes(mode: str) -> tuple[int, int]:
     return (8, 64) if mode == "smoke" else (64, 128)
+
+
+@contextmanager
+def _timed(probe: Probe, scalar: bool) -> Iterator[None]:
+    """Time the block as ``wall_s`` on the vectorized paths, or as
+    ``scalar_wall_s`` on the scalar reference; ``REPRO_SCALAR`` is
+    restored afterwards."""
+    with settings.override("scalar", scalar):
+        with probe.time("scalar_wall_s" if scalar else "wall_s"):
+            yield
+
+
+def _sweep_both(probe: Probe, condemn: bool) -> None:
+    """Sweep a fresh rig on each path; the vectorized pass records the
+    sweep's bus transactions."""
+    pages, caps = _sweep_sizes(probe.mode)
+    for scalar in (False, True):
+        rig = build_sweep_rig(pages, caps)
+        if condemn:
+            sweep_condemn(rig)
+        before = rig.machine.bus.total_transactions()
+        with _timed(probe, scalar):
+            sweep_scan(rig)
+        if not scalar:
+            probe.record(
+                "bus_transactions", rig.machine.bus.total_transactions() - before
+            )
 
 
 @benchmark(
@@ -124,12 +140,7 @@ def _sweep_sizes(mode: str) -> tuple[int, int]:
     full_reps=7,
 )
 def bench_sweep_scan(probe: Probe) -> None:
-    pages, caps = _sweep_sizes(probe.mode)
-    rig = build_sweep_rig(pages, caps)
-    before = rig.machine.bus.total_transactions()
-    with probe.time():
-        sweep_scan(rig)
-    probe.record("bus_transactions", rig.machine.bus.total_transactions() - before)
+    _sweep_both(probe, condemn=False)
 
 
 @benchmark(
@@ -140,15 +151,7 @@ def bench_sweep_scan(probe: Probe) -> None:
     full_reps=5,
 )
 def bench_sweep_revoke(probe: Probe) -> None:
-    pages, caps = _sweep_sizes(probe.mode)
-    rig = build_sweep_rig(pages, caps)
-    victims = sweep_victims(rig)
-    sweep_paint(rig, victims)
-    before = rig.machine.bus.total_transactions()
-    with probe.time():
-        sweep_scan(rig)
-    probe.record("bus_transactions", rig.machine.bus.total_transactions() - before)
-    sweep_unpaint(rig, victims)
+    _sweep_both(probe, condemn=True)
 
 
 def cache_stream(cache: Cache, pages: int) -> int:
@@ -170,10 +173,12 @@ def bench_cache_span(probe: Probe) -> None:
     # A 16-page cache streaming a larger footprint: steady-state
     # evictions, the background sweep's memory traffic pattern.
     pages = 64 if probe.mode == "smoke" else 256
-    cache = Cache(Bus(), "perf", capacity_bytes=16 * PAGE_BYTES)
-    with probe.time():
-        missed = cache_stream(cache, pages)
-    probe.record("lines_missed", missed)
+    for scalar in (False, True):
+        cache = Cache(Bus(), "perf", capacity_bytes=16 * PAGE_BYTES)
+        with _timed(probe, scalar):
+            missed = cache_stream(cache, pages)
+        if not scalar:
+            probe.record("lines_missed", missed)
 
 
 @benchmark(

@@ -114,8 +114,12 @@ class ServeClient:
         else:
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             target = (self.host, self.port)
-        sock.settimeout(self.connect_timeout)
-        sock.connect(target)
+        try:
+            sock.settimeout(self.connect_timeout)
+            sock.connect(target)
+        except OSError:
+            sock.close()  # a daemon still starting up is polled for
+            raise
         self._sock = sock
         self._file = sock.makefile("rb")
 

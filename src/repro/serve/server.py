@@ -780,7 +780,7 @@ class SimulationServer:
         import base64
         import binascii
 
-        from repro.snapshot.prefix import PrefixStore
+        from repro.snapshot.prefix import PrefixBlobError, PrefixStore
 
         key = self._prefix_request_key(request)
         if isinstance(key, dict):
@@ -798,9 +798,13 @@ class SimulationServer:
             )
         store = PrefixStore(self.cfg.prefix_dir)
         assert self._loop is not None
-        stored = await self._loop.run_in_executor(
-            None, store.put_if_absent, key, blob
-        )
+        try:
+            stored = await self._loop.run_in_executor(
+                None, store.put_if_absent, key, blob
+            )
+        except PrefixBlobError as exc:
+            self.metrics.counter("serve.protocol_errors").inc()
+            return error_response(request.id, E_BAD_REQUEST, str(exc))
         self.metrics.counter("serve.prefix_puts").inc()
         return ok_response(
             request.id, verb="prefix-put", key=key, stored=stored

@@ -52,9 +52,10 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.errors import ConfigError
 
@@ -368,3 +369,20 @@ def set_env(field: str, value: Any) -> None:
         os.environ.pop(decl.var, None)
         return
     os.environ[decl.var] = decl.to_str(value)
+
+
+@contextmanager
+def override(field: str, value: Any) -> Iterator[None]:
+    """Set one knob (as :func:`set_env`) for the duration of a block,
+    then restore the variable's exact previous text, or its absence,
+    even if the block raises."""
+    var = FIELDS[field].var
+    saved = os.environ.get(var)
+    set_env(field, value)
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop(var, None)
+        else:
+            os.environ[var] = saved

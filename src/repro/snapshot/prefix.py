@@ -50,6 +50,7 @@ from repro import settings
 from repro.core.config import RevokerKind
 from repro.errors import SnapshotError
 from repro.snapshot.capture import restore_simulation
+from repro.snapshot.format import read_header
 from repro.snapshot.session import SnapshotPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
@@ -210,6 +211,11 @@ def check_prefix_key(key: Any) -> str:
     return key
 
 
+class PrefixBlobError(SnapshotError):
+    """A blob offered to the prefix store that is not a checkpoint
+    captured for the key it is offered under."""
+
+
 class PrefixStore:
     """Content-addressed store of warm-start prefix checkpoints."""
 
@@ -237,8 +243,25 @@ class PrefixStore:
         temp file hard-linked into place, so two jobs racing to capture
         the same prefix can never tear or double-write it. Returns True
         iff this call stored the blob.
+
+        Blobs reach the store from the serve wire, so ``blob`` must be a
+        well-formed checkpoint whose header stamps ``prefix_key == key``,
+        else :class:`PrefixBlobError`: one parked under another group's
+        key would silently break every later warm start of that group.
+        Only the JSON header is read (framing and digest checked, nothing
+        unpickled).
         """
         path = self._path_of(key)
+        try:
+            header = read_header(blob)
+        except SnapshotError as exc:
+            raise PrefixBlobError(f"refusing prefix {key}: {exc}") from None
+        stamped = header.get("prefix_key") if isinstance(header, dict) else None
+        if stamped != key:
+            raise PrefixBlobError(
+                f"refusing prefix {key}: the checkpoint was captured for "
+                f"prefix {stamped!r}"
+            )
         if path.exists():
             return False
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -35,6 +35,7 @@ from repro.serve.client import ServeClient
 from repro.serve.protocol import decode, encode
 from repro.serve.server import ServeConfig, SimulationServer
 from repro.settings import MANAGED_VARS
+from repro.snapshot.format import pack_checkpoint
 from repro.snapshot.prefix import PrefixStore, prefix_key
 
 
@@ -379,10 +380,11 @@ class TestPrefixWire:
         try:
             with ServeClient(socket_path=sock) as client:
                 assert client.prefix_fetch("0" * 64) is None
-                blob = b"RPRSNAP not-a-real-checkpoint \x00\xff payload"
                 key = "ab" * 32
+                blob = pack_checkpoint({"prefix_key": key}, b"\x00\xff payload")
+                other = pack_checkpoint({"prefix_key": key}, b"other")
                 assert client.prefix_put(key, blob) is True
-                assert client.prefix_put(key, b"other") is False  # first wins
+                assert client.prefix_put(key, other) is False  # first wins
                 assert client.prefix_fetch(key) == blob
             assert PrefixStore(tmp_path / "store").get(key) == blob
         finally:
@@ -406,6 +408,27 @@ class TestPrefixWire:
         finally:
             _stop_daemon(server, thread)
         assert not list(tmp_path.rglob("*.ckpt"))
+
+    def test_put_refuses_a_blob_not_captured_for_its_key(self, tmp_path):
+        from repro.serve.client import RequestFailed
+
+        root = tmp_path / "store"
+        server, thread, sock = _start_daemon(tmp_path, "blob", prefix_dir=str(root))
+        try:
+            with ServeClient(socket_path=sock) as client:
+                key = "c" * 64
+                for blob in (
+                    pack_checkpoint({"prefix_key": "a" * 64}, b"x"),
+                    b"not a checkpoint",
+                ):
+                    with pytest.raises(RequestFailed, match="refusing prefix") as exc:
+                        client.prefix_put(key, blob)
+                    assert exc.value.code == "bad-request"
+                assert client.prefix_fetch(key) is None
+                assert client.ping()  # the daemon lives on
+        finally:
+            _stop_daemon(server, thread)
+        assert PrefixStore(root).entries() == 0
 
     def test_daemon_without_store_rejects(self, pair):
         from repro.serve.client import RequestFailed

@@ -6,12 +6,13 @@ PerfReport schema round-trip (property-based), the content-addressed
 baseline store with its git-sha overwrite guard, the runner's
 warmup/repetition semantics, the end-to-end gate exit codes (including
 the documented ``REPRO_PERF_INJECT`` 2x-regression drill), and the
-legacy report converters.
+``sweep`` suite's vectorized-vs-scalar timing.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +41,6 @@ from repro.perf.report import (
     MetricSeries,
     PerfReport,
     check_overwrite,
-    convert_legacy,
 )
 from repro.perf.runner import Runner
 
@@ -234,7 +234,7 @@ class TestPerfReport:
             PerfReport.from_dict(data)
 
     def test_legacy_shape_refused_with_hint(self):
-        with pytest.raises(PerfError, match="convert"):
+        with pytest.raises(PerfError, match="kind='perf-report'"):
             PerfReport.from_dict({"benchmark": "sweep_micro"})
 
     def test_unknown_metric_kind_refused(self):
@@ -410,52 +410,57 @@ class TestGateEndToEnd:
         assert report.config["inject"] == 2.0
 
 
-# --- Legacy converters -------------------------------------------------------
+# --- The sweep suite: vectorized and scalar on identical state --------------
 
 
-class TestConvertLegacy:
-    def test_sweep_micro_upgrades(self):
-        legacy = {
-            "benchmark": "sweep_micro",
-            "config": {"pages": 64},
-            "host": {"python": "3.11.0", "machine": "x86_64"},
-            "scalar": {"scan_s": 2.0, "revoke_s": 3.0, "stream_s": 4.0},
-            "vectorized": {"scan_s": 1.0, "revoke_s": 1.5, "stream_s": 2.0},
-            "speedup": {"scan": 2.0, "revoke": 2.0, "stream": 2.0},
-        }
-        report = convert_legacy(legacy)
-        assert report.suite == "sweep-micro"
-        assert report.env["git_sha"] is None
-        assert report.benchmarks["sweep.scan"].metrics["wall_s"].samples == [1.0]
-        assert report.benchmarks["sweep.scan"].metrics["scalar_wall_s"].samples == [2.0]
-        assert report.detail["legacy"] is True
-        # And the upgraded report survives its own round-trip.
-        assert PerfReport.loads(report.dumps()).to_dict() == report.to_dict()
+class TestSweepSuite:
+    #: The vector-only values these targets recorded before the scalar
+    #: pass was folded in (smoke sizes); the scalar pass must not move them.
+    EXPECTED = {
+        "sweep.scan": ("bus_transactions", 517.0),
+        "sweep.revoke": ("bus_transactions", 581.0),
+        "cache.span": ("lines_missed", 4096.0),
+    }
 
-    def test_serve_upgrades(self):
-        legacy = {
-            "benchmark": "serve",
-            "config": {"requests": 60},
-            "service": {
-                "requests": 60, "ok": 60, "failures": 0,
-                "throughput_rps": 280.0, "p50_ms": 0.5, "p99_ms": 100.0,
-                "mean_ms": 10.0, "wall_s": 0.21,
-            },
-        }
-        report = convert_legacy(legacy)
-        assert report.suite == "serve"
-        assert report.benchmarks["serve.service"].metrics["throughput_rps"].samples == [
-            280.0
-        ]
-        assert report.detail["raw"]["service"]["ok"] == 60
+    def test_scalar_series_beside_unchanged_metrics(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SCALAR", raising=False)
+        report = Runner(mode="smoke").run(suite="sweep")
+        assert set(report.benchmarks) == set(self.EXPECTED)
+        for name, (metric, value) in self.EXPECTED.items():
+            metrics = report.benchmarks[name].metrics
+            assert set(metrics) == {"wall_s", "scalar_wall_s", metric}
+            assert metrics["scalar_wall_s"].kind == WALL
+            assert len(metrics["scalar_wall_s"].samples) == len(
+                metrics["wall_s"].samples
+            )
+            assert metrics[metric].kind == DETERMINISTIC
+            assert set(metrics[metric].samples) == {value}
+        assert "REPRO_SCALAR" not in os.environ
 
-    def test_v1_passes_through(self):
-        report = _stamped("smoke", "aaa")
-        assert convert_legacy(report.to_dict()).to_dict() == report.to_dict()
+    @pytest.mark.parametrize("raw", ["0", "1", "yes"])
+    def test_repro_scalar_restored_verbatim(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SCALAR", raw)
+        report = Runner(mode="smoke", reps=1, warmup=0).run(suite="sweep")
+        # The caller's setting does not leak into the vectorized pass.
+        assert report.benchmarks["sweep.scan"].metrics[
+            "bus_transactions"
+        ].samples == [517.0]
+        assert os.environ["REPRO_SCALAR"] == raw
 
-    def test_unrecognized_refused(self):
-        with pytest.raises(PerfError, match="unrecognized"):
-            convert_legacy({"benchmark": "mystery"})
+    def test_repro_scalar_restored_when_a_target_raises(self, monkeypatch):
+        from repro import settings as repro_settings
+        from repro.perf import targets
+
+        monkeypatch.delenv("REPRO_SCALAR", raising=False)
+
+        def scan_fails_on_scalar(rig):
+            if repro_settings.scalar_mode():
+                raise RuntimeError("scalar sweep failed")
+
+        monkeypatch.setattr(targets, "sweep_scan", scan_fails_on_scalar)
+        with pytest.raises(RuntimeError, match="scalar sweep failed"):
+            Runner(mode="smoke").run(suite="sweep", pattern="sweep.scan")
+        assert "REPRO_SCALAR" not in os.environ
 
 
 # --- The committed baseline stays loadable -----------------------------------

@@ -744,3 +744,42 @@ class TestRetryAfterHint:
 
         server.pool = _Pool()
         assert server._retry_after() == pytest.approx(2.0)
+
+
+class TestLoadGenerator:
+    def test_autostart_closes_its_daemon_log(self, tmp_path, monkeypatch):
+        """Regression: ``_start_daemon`` handed the log file to Popen and
+        never closed the parent's handle, so every ``serve bench
+        --autostart`` run leaked it (a ResourceWarning)."""
+        import warnings
+
+        from repro.serve import bench
+
+        handles = []
+        monkeypatch.setattr(
+            bench.subprocess, "Popen",
+            lambda argv, **kwargs: handles.append(kwargs["stdout"]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            bench._start_daemon(
+                str(tmp_path / "serve.sock"), 1, 1, tmp_path / "daemon.log"
+            )
+        (log,) = handles
+        assert log.closed
+
+    def test_failed_connect_closes_its_socket(self, tmp_path, monkeypatch):
+        # ``--autostart`` polls the daemon while it starts up: every
+        # refused connect used to leave an unclosed socket behind.
+        created = []
+
+        class Tracked(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(socket, "socket", Tracked)
+        client = ServeClient(socket_path=str(tmp_path / "absent.sock"), retries=0)
+        with pytest.raises(ServerUnavailable):
+            client.ping()
+        assert created and all(s.fileno() == -1 for s in created)

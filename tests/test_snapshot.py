@@ -335,29 +335,6 @@ def test_snapshot_dir_off_means_no_files(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-# --- serve-bench seed-base regression ---------------------------------------
-
-
-def test_fresh_jobs_default_seed_base_is_per_run_nonce():
-    """Regression: fresh_jobs used a fixed seed base (7_000_000), so a
-    second serve-bench run against a live daemon hit the result cache on
-    every burst job and reported inflated overload throughput. The
-    default must differ run to run."""
-    from repro.serve.bench import fresh_jobs
-
-    first = {j["workload"]["params"]["seed"] for j in fresh_jobs(5, 512)}
-    second = {j["workload"]["params"]["seed"] for j in fresh_jobs(5, 512)}
-    assert len(first) == len(second) == 5
-    assert first.isdisjoint(second)
-
-
-def test_fresh_jobs_explicit_seed_base_is_honored():
-    from repro.serve.bench import fresh_jobs
-
-    jobs = fresh_jobs(3, 512, seed_base=42)
-    assert [j["workload"]["params"]["seed"] for j in jobs] == [42, 43, 44]
-
-
 def test_serve_config_snapshot_dir_env_fallback(monkeypatch):
     from repro.serve.server import ServeConfig
 

@@ -26,7 +26,9 @@ from repro.snapshot import (
     SnapshotSession,
     read_header,
 )
+from repro.snapshot.format import pack_checkpoint
 from repro.snapshot.prefix import (
+    PrefixBlobError,
     PrefixKeyError,
     PrefixStore,
     fork_simulation,
@@ -100,6 +102,11 @@ class TestPrefixKey:
         )
 
 
+def _blob(key, payload=b"payload"):
+    """A well-formed checkpoint container stamped for ``key``."""
+    return pack_checkpoint({"prefix_key": key}, payload)
+
+
 class TestPrefixStore:
     def test_miss_is_none(self, tmp_path):
         store = PrefixStore(tmp_path)
@@ -108,8 +115,9 @@ class TestPrefixStore:
 
     def test_put_then_get(self, tmp_path):
         store = PrefixStore(tmp_path)
-        assert store.put_if_absent("ab" * 32, b"blob") is True
-        assert store.get("ab" * 32) == b"blob"
+        blob = _blob("ab" * 32)
+        assert store.put_if_absent("ab" * 32, blob) is True
+        assert store.get("ab" * 32) == blob
         assert "ab" * 32 in store
         assert store.entries() == 1
 
@@ -117,15 +125,16 @@ class TestPrefixStore:
         # The double-capture guard: the second writer is rejected and the
         # first blob survives untouched.
         store = PrefixStore(tmp_path)
-        assert store.put_if_absent("cd" * 32, b"first") is True
-        assert store.put_if_absent("cd" * 32, b"second") is False
-        assert store.get("cd" * 32) == b"first"
+        first = _blob("cd" * 32, b"first")
+        assert store.put_if_absent("cd" * 32, first) is True
+        assert store.put_if_absent("cd" * 32, _blob("cd" * 32, b"second")) is False
+        assert store.get("cd" * 32) == first
         assert store.entries() == 1
 
     def test_paths_sorted(self, tmp_path):
         store = PrefixStore(tmp_path)
-        store.put_if_absent("ff" * 32, b"z")
-        store.put_if_absent("00" * 32, b"a")
+        store.put_if_absent("ff" * 32, _blob("ff" * 32))
+        store.put_if_absent("00" * 32, _blob("00" * 32))
         names = [p.stem for p in store.paths()]
         assert names == sorted(names)
 
@@ -144,6 +153,27 @@ class TestPrefixStore:
             store.get(key)
         with pytest.raises(PrefixKeyError):
             key in store
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            _blob("a" * 64),
+            pack_checkpoint({"epoch": 0}, b"x"),
+            b"not a checkpoint",
+            _blob("c" * 64)[:-1] + b"\x00",
+            b"",
+        ],
+        ids=["other-key", "unstamped", "not-a-checkpoint", "bad-digest", "empty"],
+    )
+    def test_blob_must_be_a_checkpoint_for_its_key(self, tmp_path, blob):
+        # Blobs reach the store from the serve wire too: one parked under
+        # another group's key would silently break every later warm
+        # start of that group.
+        store = PrefixStore(tmp_path)
+        with pytest.raises(PrefixBlobError):
+            store.put_if_absent("c" * 64, blob)
+        assert store.entries() == 0
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
@@ -213,7 +243,10 @@ class TestExecuteJobWarmStart:
         monkeypatch.setenv("REPRO_PREFIX_DIR", str(tmp_path))
         store = PrefixStore(tmp_path)
         key = prefix_key(_job(RevokerKind.RELOADED))
-        store.put_if_absent(key, b"RPRSNAP garbage that is not a checkpoint")
+        # The store refuses such a blob on put, so corrupt it on disk.
+        path = store._path_of(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"RPRSNAP garbage that is not a checkpoint")
         assert dumps_result(execute_job(_job(RevokerKind.RELOADED))) == cold
         assert pop_warm_start_note() is None
 
