@@ -31,6 +31,10 @@ from repro.kernel.kernel import Kernel
 from repro.machine.capability import Capability, Perm
 from repro.machine.costs import GRANULE_BYTES, PAGE_BYTES
 
+#: Permissions of every allocation, built once: ``Perm.all()`` costs four
+#: ``IntFlag`` operations per call.
+_ALL_PERMS = Perm.all()
+
 #: Chunk size requested from the kernel when a size class runs dry.
 CHUNK_BYTES = 16 * PAGE_BYTES
 
@@ -146,7 +150,7 @@ class SnMalloc:
                 self._chunk_bases.append(cap.base)
                 addr = cap.base
                 cycles += self.costs.malloc_slow_extra
-            user = self._chunk_for(addr, rounded).derive(addr, rounded, Perm.all())
+            user = self._chunk_for(addr, rounded).derive(addr, rounded, _ALL_PERMS)
         else:
             rounded = SIZE_CLASSES[sc]
             free_list = self._free_lists[sc]
@@ -163,7 +167,7 @@ class SnMalloc:
                     next_addr, end = self._slabs[sc]
                 addr = next_addr
                 self._slabs[sc] = (next_addr + rounded, end)
-            user = self._chunk_for(addr, rounded).derive(addr, rounded, Perm.all())
+            user = self._chunk_for(addr, rounded).derive(addr, rounded, _ALL_PERMS)
         self._live[addr] = (rounded, sc)
         self.allocated_bytes += rounded
         self.total_allocated_bytes += rounded

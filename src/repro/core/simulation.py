@@ -30,10 +30,12 @@ from repro.kernel.revoker import (
     ReloadedRevoker,
 )
 from repro.machine.capability import Capability
+from repro.machine.cpu import Core, ReferenceAccess
 from repro.machine.machine import Machine
 from repro.machine.scheduler import Sleep, Thread, ThreadState
 from repro.machine.trap import LoadGenerationFault
 from repro.obs.tracer import TRACER
+from repro.settings import scalar_mode
 from repro.workloads.base import Workload
 
 _REVOKER_CLASSES = {
@@ -53,11 +55,22 @@ class AppContext:
         self.core = sim.machine.cores[core_index]
         self.slot = sim.machine.scheduler.cores[core_index]
         self.registers = RegisterFile()
+        #: The path the workload's hot loops access memory through: the
+        #: core's fused entry points, or :class:`ReferenceAccess` under
+        #: ``REPRO_SCALAR=1``. Bound by the simulation at each run or
+        #: resume and left out of checkpoints, so both paths capture
+        #: identical blobs.
+        self.access: Core | ReferenceAccess = self.core
         #: The run's SnapshotSession when checkpointing is on, else None.
         #: Workloads that support snapshots poll ``snapshot.due()`` at
         #: their work-unit boundary and park on ``snapshot.barrier``.
         self.snapshot = None
         sim.kernel.register_thread(self.registers)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["access"]
+        return state
 
     # --- Allocation ------------------------------------------------------------
 
@@ -92,11 +105,11 @@ class AppContext:
         cycles = 0
         while True:
             try:
-                result = self.core.load_cap(cap)
+                value, load_cycles = self.access.load_cap_at(cap, cap.address)
             except LoadGenerationFault as fault:
                 cycles += self.sim.kernel.handle_lg_fault(self.core, fault)
                 continue
-            return result.value, cycles + result.cycles
+            return value, cycles + load_cycles
 
     def store_cap(self, dst: Capability, value: Capability) -> Generator:
         result = self.core.store_cap(dst, value)
@@ -271,6 +284,9 @@ class Simulation:
         quiescent points when snapshots are on), drain any in-flight
         epoch, and collect the result. Common tail of run() and resume()."""
         sched = self.machine.scheduler
+        scalar = scalar_mode()
+        for ctx in self._contexts:
+            ctx.access = ReferenceAccess(ctx.core) if scalar else ctx.core
         if self._snapshots is None:
             wall = sched.run(until=self._app_threads)
         else:

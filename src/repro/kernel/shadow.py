@@ -21,6 +21,7 @@ import numpy as np
 from repro.errors import VMError
 from repro.machine.capability import Capability
 from repro.machine.costs import GRANULE_BYTES
+from repro.machine.memory import zeroed_array
 from repro.obs.tracer import TRACER
 
 
@@ -30,7 +31,7 @@ class RevocationBitmap:
     def __init__(self, size_bytes: int) -> None:
         self.size_bytes = size_bytes
         self.num_granules = size_bytes // GRANULE_BYTES
-        self._bits = np.zeros(self.num_granules, dtype=bool)
+        self._bits = zeroed_array(self.num_granules, bool)
         #: Synthetic byte address of the bitmap's backing store, used only
         #: so painting/probing shows up in cache/bus accounting.
         self.shadow_base = size_bytes

@@ -26,7 +26,7 @@ from repro.settings import scalar_mode
 #: Spans at or below this many lines go straight to the scalar loop:
 #: the batched path's setup costs more than it saves on tiny accesses
 #: (ordinary data loads/stores touch one or two lines).
-_SPAN_BATCH_MIN_LINES = 4
+SPAN_BATCH_MIN_LINES = 4
 
 
 @dataclass
@@ -141,6 +141,35 @@ class Cache:
                 misses += 1
         return misses
 
+    def touch_lines(self, first: int, last: int, write: bool) -> int:
+        """:meth:`_touch_loop` for the few lines of one mutator access.
+
+        Same hits, misses, LRU order and dirty write-backs, but a hit is
+        one ``move_to_end`` and the bus is updated once per call instead
+        of once per line. Used by the fused access path of
+        :class:`~repro.machine.cpu.Core`; the reference path keeps
+        :meth:`_touch_loop`.
+        """
+        lines = self._lines
+        misses = dirty_victims = 0
+        for line in range(first, last + 1):
+            if line in lines:
+                lines.move_to_end(line)
+                if write:
+                    lines[line] = True
+            else:
+                misses += 1
+                if len(lines) >= self.capacity_lines and lines.popitem(last=False)[1]:
+                    dirty_victims += 1
+                lines[line] = write
+        self.hits += last - first + 1 - misses
+        if misses:
+            self.misses += misses
+            self.bus.read(self.source, misses)
+            if dirty_victims:
+                self.bus.write(self.source, dirty_victims)
+        return misses
+
     def _touch_span(self, first: int, last: int, write: bool) -> int:
         """Batched equivalent of :meth:`_touch_loop` over ``[first, last]``.
 
@@ -215,7 +244,7 @@ class Cache:
             return 0
         first = addr // LINE_BYTES
         last = (addr + nbytes - 1) // LINE_BYTES
-        if last - first < _SPAN_BATCH_MIN_LINES or scalar_mode():
+        if last - first < SPAN_BATCH_MIN_LINES or scalar_mode():
             return self._touch_loop(first, last, write)
         return self._touch_span(first, last, write)
 

@@ -156,7 +156,8 @@ class Capability:
                 f"not within [{self.base:#x},{self.top:#x})"
             )
         new_perms = self.perms if perms is None else perms
-        if new_perms & ~self.perms:
+        # Raw ints: IntFlag's operators dispatch in Python.
+        if int(new_perms) & ~int(self.perms):
             raise CapabilityError(
                 f"non-monotonic permissions: {new_perms!r} not within {self.perms!r}"
             )

@@ -15,15 +15,25 @@ and raising the traps the revokers are built on:
 
 Faults propagate as exceptions to the simulation layer, which runs the
 kernel's handler on this same core (foreground fault handling, §4.3).
+
+Each operation exists twice. The reference methods (``load_data``,
+``store_data``, ``load_cap``, ``store_cap``) take a capability whose
+cursor is already set and walk the check, TLB, barrier and cache layers
+one call at a time. The fused ``*_at`` entry points take the capability,
+the address and the size, do the common case without building a cursor
+or an :class:`AccessResult`, and return plain cycles; anything off that
+case replays through the reference method. :class:`ReferenceAccess` gives the reference methods the fused
+signatures, so a workload selects either path once per run
+(``REPRO_SCALAR=1`` picks the reference, see docs/PERF.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.machine.cache import Bus, Cache
+from repro.machine.cache import SPAN_BATCH_MIN_LINES, Bus, Cache
 from repro.machine.capability import Capability, Perm
-from repro.machine.costs import GRANULE_BYTES, PAGE_BYTES, CostModel
+from repro.machine.costs import GRANULE_BYTES, LINE_BYTES, PAGE_BYTES, CostModel
 from repro.machine.memory import TaggedMemory
 from repro.machine.pagetable import PageTable, TLB, TLBEntry
 from repro.machine.trap import CapStoreFault, LoadGenerationFault, PageFault
@@ -177,6 +187,126 @@ class Core:
         self.memory.store_data(cap.address, nbytes)
         return AccessResult(self._charge_access(cap.address, nbytes, write=True))
 
+    # --- Fused entry points --------------------------------------------------
+    #
+    # The common case of each operation in its own frame: the capability
+    # test without building a cursor, a TLB hit, the barriers, and the
+    # touch of a span of at most SPAN_BATCH_MIN_LINES lines (inlined for a
+    # capability access that hits, else one Cache.touch_lines call).
+    # Every other case -- a failed capability test, a TLB miss, a page
+    # crossing, an always-trap page, a tagged store the PTE forbids, an
+    # LG fault, a longer span -- replays through the reference method,
+    # which raises the exact exception and makes the exact counter
+    # updates. Nothing is mutated before a fused path commits to the
+    # access, and a committed access mutates state in the reference
+    # order.
+
+    def load_data_at(self, cap: Capability, addr: int, nbytes: int) -> int:
+        """:meth:`load_data` through ``cap`` at ``addr``; returns cycles."""
+        base = cap.base
+        last = addr + nbytes - 1
+        if (
+            cap.tag
+            and base <= addr <= last < base + cap.length
+            and int(cap.perms) & _PERM_LOAD
+            and addr // PAGE_BYTES == last // PAGE_BYTES
+            and addr // PAGE_BYTES in self.tlb._entries
+        ):
+            first = addr // LINE_BYTES
+            last = last // LINE_BYTES
+            if last - first < SPAN_BATCH_MIN_LINES:
+                cycles = (last - first + 1) * self.costs.mem_hit
+                misses = self.cache.touch_lines(first, last, False)
+                if misses:
+                    cycles += misses * self._miss_penalty()
+                return cycles
+        return self.load_data(cap.with_address(addr), nbytes).cycles
+
+    def store_data_at(self, cap: Capability, addr: int, nbytes: int) -> int:
+        """:meth:`store_data` through ``cap`` at ``addr``; returns cycles."""
+        base = cap.base
+        last = addr + nbytes - 1
+        if (
+            cap.tag
+            and base <= addr <= last < base + cap.length
+            and int(cap.perms) & _PERM_STORE
+            and addr // PAGE_BYTES == last // PAGE_BYTES
+            and addr // PAGE_BYTES in self.tlb._entries
+        ):
+            first = addr // LINE_BYTES
+            last = last // LINE_BYTES
+            if last - first < SPAN_BATCH_MIN_LINES:
+                self.memory.store_data(addr, nbytes)
+                cycles = (last - first + 1) * self.costs.mem_hit
+                misses = self.cache.touch_lines(first, last, True)
+                if misses:
+                    cycles += misses * self._miss_penalty()
+                return cycles
+        return self.store_data(cap.with_address(addr), nbytes).cycles
+
+    def load_cap_at(self, cap: Capability, addr: int) -> tuple[Capability | None, int]:
+        """:meth:`load_cap` through ``cap`` at ``addr``; returns the loaded
+        value (None if untagged) and the cycles."""
+        base = cap.base
+        if (
+            cap.tag
+            and base <= addr
+            and addr + GRANULE_BYTES <= base + cap.length
+            and (int(cap.perms) & _PERM_LOAD_CAP) == _PERM_LOAD_CAP
+        ):
+            entry = self.tlb._entries.get(addr // PAGE_BYTES)
+            if entry is not None and not entry.always_trap:
+                value = self.memory.load_cap(addr)
+                if value is None or entry.lg == self.clg:
+                    # An aligned granule never straddles a line.
+                    line = addr // LINE_BYTES
+                    costs = self.costs
+                    cache = self.cache
+                    lines = cache._lines
+                    if line in lines:
+                        lines.move_to_end(line)
+                        cache.hits += 1
+                        return value, costs.mem_hit + costs.cap_access_extra
+                    cache.touch_lines(line, line, False)
+                    return value, costs.mem_hit + costs.cap_access_extra + self._miss_penalty()
+        result = self.load_cap(cap.with_address(addr))
+        return result.value, result.cycles
+
+    def store_cap_at(self, cap: Capability, addr: int, value: Capability) -> int:
+        """:meth:`store_cap` of ``value`` through ``cap`` at ``addr``;
+        returns cycles."""
+        base = cap.base
+        if (
+            cap.tag
+            and base <= addr
+            and addr + GRANULE_BYTES <= base + cap.length
+            and (int(cap.perms) & _PERM_STORE_CAP) == _PERM_STORE_CAP
+        ):
+            vpn = addr // PAGE_BYTES
+            entry = self.tlb._entries.get(vpn)
+            pte = self.pagetable.get(vpn) if value.tag else None
+            if entry is not None and (
+                not value.tag
+                or (entry.cap_store and pte is not None and not pte.always_trap_cap_loads)
+            ):
+                if pte is not None:
+                    pte.cap_dirty = True
+                    if pte.swept_this_epoch:
+                        pte.redirtied = True
+                self.memory.store_cap(addr, value)
+                line = addr // LINE_BYTES
+                costs = self.costs
+                cache = self.cache
+                lines = cache._lines
+                if line in lines:
+                    lines.move_to_end(line)
+                    lines[line] = True
+                    cache.hits += 1
+                    return costs.mem_hit + costs.cap_access_extra
+                cache.touch_lines(line, line, True)
+                return costs.mem_hit + costs.cap_access_extra + self._miss_penalty()
+        return self.store_cap(cap.with_address(addr), value).cycles
+
     # --- Kernel-side helpers -------------------------------------------------
 
     def resolve_spurious_lg_fault(self, vpn: int) -> int:
@@ -195,3 +325,27 @@ class Core:
         if TRACER.enabled:
             TRACER.emit("core.clg_flip", core=self.name, clg=self.clg)
         return self.costs.clg_flip
+
+
+class ReferenceAccess:
+    """The reference methods of a :class:`Core` behind the fused entry
+    points' signatures: the oracle the fused path is tested against,
+    selected by ``REPRO_SCALAR=1``."""
+
+    __slots__ = ("core",)
+
+    def __init__(self, core: Core) -> None:
+        self.core = core
+
+    def load_data_at(self, cap: Capability, addr: int, nbytes: int) -> int:
+        return self.core.load_data(cap.with_address(addr), nbytes).cycles
+
+    def store_data_at(self, cap: Capability, addr: int, nbytes: int) -> int:
+        return self.core.store_data(cap.with_address(addr), nbytes).cycles
+
+    def load_cap_at(self, cap: Capability, addr: int) -> tuple[Capability | None, int]:
+        result = self.core.load_cap(cap.with_address(addr))
+        return result.value, result.cycles
+
+    def store_cap_at(self, cap: Capability, addr: int, value: Capability) -> int:
+        return self.core.store_cap(cap.with_address(addr), value).cycles

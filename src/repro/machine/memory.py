@@ -18,6 +18,7 @@ revokers manipulate.
 
 from __future__ import annotations
 
+import mmap
 from typing import Iterator
 
 import numpy as np
@@ -25,6 +26,20 @@ import numpy as np
 from repro.errors import VMError
 from repro.machine.capability import Capability
 from repro.machine.costs import GRANULE_BYTES, GRANULES_PER_PAGE, PAGE_BYTES
+
+
+def zeroed_array(count: int, dtype: type) -> np.ndarray:
+    """A zero-filled ``count``-element array on its own anonymous mapping.
+
+    Only the pages a run touches are resident, and the mapping is
+    returned to the OS when the array dies. A large ``np.zeros`` block
+    comes from ``calloc`` instead: once glibc has freed one, it raises its
+    mmap threshold, later blocks of that size are carved from the heap
+    and zeroed in full, and every later simulation in the process then
+    pays the whole per-granule array in resident memory.
+    """
+    itemsize = np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, count * itemsize), dtype=dtype)
 
 
 class TaggedMemory:
@@ -41,13 +56,13 @@ class TaggedMemory:
         self.num_granules = size_bytes // GRANULE_BYTES
         self.num_pages = size_bytes // PAGE_BYTES
         #: One bool per granule: the architectural tag bits.
-        self.tags = np.zeros(self.num_granules, dtype=bool)
+        self.tags = zeroed_array(self.num_granules, bool)
         #: Per-granule capability *base* addresses, valid only where the
         #: tag bit is set (stale values persist after tag clears — every
         #: reader must mask through :attr:`tags` first). This is what lets
         #: the revocation sweep probe a whole page's capabilities against
         #: the shadow bitmap in one vector op.
-        self.cap_bases = np.zeros(self.num_granules, dtype=np.int64)
+        self.cap_bases = zeroed_array(self.num_granules, np.int64)
         #: Capability values for tagged granules only.
         self._caps: dict[int, Capability] = {}
 
@@ -109,7 +124,7 @@ class TaggedMemory:
         (partial overwrites of a capability destroy it, as in hardware)."""
         if nbytes <= 0:
             return
-        if not 0 <= addr and addr + nbytes <= self.size_bytes:
+        if not (0 <= addr and addr + nbytes <= self.size_bytes):
             raise VMError(f"data store out of memory: {addr:#x}+{nbytes}")
         g0 = addr // GRANULE_BYTES
         g1 = (addr + nbytes - 1) // GRANULE_BYTES

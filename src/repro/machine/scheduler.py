@@ -537,9 +537,13 @@ class Scheduler:
         # With no explicit target set, "done" means every thread —
         # including ones spawned while running — has finished.
         targets = list(until) if until is not None else None
+        # FINISHED is terminal and only the stepped thread can reach it, so
+        # the done test can change only after a step that finished its
+        # thread or spawned one.
+        recheck = True
         for _ in range(max_steps):
             pending = self.threads if targets is None else targets
-            if all(t.state is ThreadState.FINISHED for t in pending):
+            if recheck and all(t.state is ThreadState.FINISHED for t in pending):
                 return self.current_time()
             thread = self._pick()
             if thread is None:
@@ -547,6 +551,10 @@ class Scheduler:
                 raise SimulationError(
                     f"deadlock: no runnable or sleeping threads; waiting on {unfinished}"
                 )
+            spawned = len(self.threads)
             self._step(thread)
             self._steps += 1
+            recheck = (
+                thread.state is ThreadState.FINISHED or len(self.threads) != spawned
+            )
         raise SimulationError(f"exceeded max_steps={max_steps}")

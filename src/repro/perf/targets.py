@@ -8,17 +8,18 @@ plus traced end-to-end runs whose deterministic simulated-cycle metrics
 :class:`~repro.obs.metrics.MetricsRegistry`) gate hard in CI while the
 wall-clock series only warn.
 
-The ``sweep`` suite (``sweep.scan``, ``sweep.revoke``, ``cache.span``)
-times each hot loop twice per repetition, on identically built state:
-the vectorized path as ``wall_s`` and the scalar reference
-(``REPRO_SCALAR=1``) as ``scalar_wall_s``. CI requires the best
-vectorized sample to be no slower than the best scalar one.
+The ``sweep`` suite (``sweep.scan``, ``sweep.revoke``, ``cache.span``,
+``mutator.churn``) times each hot loop twice per repetition, on
+identically built state: the vectorized or fused path as ``wall_s`` and
+the scalar reference (``REPRO_SCALAR=1``) as ``scalar_wall_s``. CI
+requires the best fast-path sample to be no slower than the best scalar
+one.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from repro import settings
@@ -36,7 +37,9 @@ from repro.machine.machine import Machine
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import tracing
 from repro.perf.registry import Probe, benchmark
+from repro.runner.serialize import dumps_result
 from repro.workloads import spec
+from repro.workloads.churn import ChurnWorkload
 
 # --- The sweep rig ----------------------------------------------------------
 
@@ -179,6 +182,47 @@ def bench_cache_span(probe: Probe) -> None:
             missed = cache_stream(cache, pages)
         if not scalar:
             probe.record("lines_missed", missed)
+
+
+@benchmark(
+    "mutator.churn",
+    suites=("smoke", "full", "sweep"),
+    description="fused vs reference mutator path: reduced omnetpp.ref, scale 256",
+    smoke_reps=3,
+    full_reps=5,
+)
+def bench_mutator_churn(probe: Probe) -> None:
+    # omnetpp.ref is one of the two inputs that dominate the SPEC sweep;
+    # its churn volume is cut so a repetition takes seconds, not minutes.
+    base = spec.workload("omnetpp", "ref", scale=256, seed=1)
+    fraction = 300 if probe.mode == "smoke" else 50
+    profile = replace(base.profile, churn_bytes=base.profile.churn_bytes // fraction)
+    kinds = (RevokerKind.NONE, RevokerKind.RELOADED)
+
+    def build() -> list[Simulation]:
+        return [
+            Simulation(
+                ChurnWorkload(profile, quarantine_policy=base.quarantine_policy),
+                SimulationConfig(revoker=kind),
+            )
+            for kind in kinds
+        ]
+
+    sims = build()
+    with _timed(probe, scalar=False):
+        fused = [sim.run() for sim in sims]
+    oracles = build()
+    with _timed(probe, scalar=True):
+        reference = [sim.run() for sim in oracles]
+    for kind, sim, result, oracle in zip(kinds, sims, fused, reference):
+        if dumps_result(result) != dumps_result(oracle):
+            raise PerfError(
+                f"mutator.churn {kind.value}: the fused path's result differs "
+                "from the reference path's"
+            )
+        accesses = sum(c.cache.hits + c.cache.misses for c in sim.machine.cores)
+        probe.record(f"wall_cycles_{kind.value}", result.wall_cycles)
+        probe.record(f"cache_accesses_{kind.value}", accesses)
 
 
 @benchmark(

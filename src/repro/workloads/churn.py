@@ -173,11 +173,13 @@ class ChurnWorkload(Workload):
         # existing objects (establishes capability density).
         cycles = 0
         nobjs = len(objs)
+        store_cap_at = ctx.access.store_cap_at
         for i in range(nslots):
             if not nobjs:
                 break
             target = objs[int(rng.random() * nobjs)]
-            cycles += ctx.core.store_cap(obj.slot_caps[i], target.cap).cycles
+            slot = obj.slot_caps[i]
+            cycles += store_cap_at(slot, slot.address, target.cap)
         if cycles:
             yield cycles
         objs.append(obj)
@@ -237,6 +239,7 @@ class ChurnWorkload(Workload):
         objs = task.objs
         data_loads, data_stores, data_bytes = profile.data_accesses_per_iter
         rnd = task.rng.random
+        access = ctx.access
 
         # Free a random object; its outgoing capabilities and any
         # capabilities pointing *to* it go stale in memory.
@@ -257,7 +260,7 @@ class ChurnWorkload(Workload):
                 continue
             target = objs[int(rnd() * nobjs)]
             dst = holder.slot_caps[int(rnd() * holder.nslots)]
-            cycles += ctx.core.store_cap(dst, target.cap).cycles
+            cycles += access.store_cap_at(dst, dst.address, target.cap)
         if cycles:
             yield cycles
 
@@ -284,9 +287,7 @@ class ChurnWorkload(Workload):
                 # Dereference at a random offset: the touched-line set
                 # scales with heap size, not object count.
                 off = int(off_frac * (loaded.length - nbytes + 1))
-                cycles += ctx.core.load_data(
-                    loaded.with_address(loaded.base + off), nbytes
-                ).cycles
+                cycles += access.load_data_at(loaded, loaded.base + off, nbytes)
         if cycles:
             yield cycles
 
@@ -296,9 +297,7 @@ class ChurnWorkload(Workload):
             obj = objs[int(rnd() * nobjs)]
             nbytes = min(data_bytes, obj.size)
             off = int(rnd() * (obj.size - nbytes + 1))
-            cycles += ctx.core.load_data(
-                obj.cap.with_address(obj.cap.base + off), nbytes
-            ).cycles
+            cycles += access.load_data_at(obj.cap, obj.cap.base + off, nbytes)
         for _ in range(data_stores):
             obj = objs[int(rnd() * nobjs)]
             nbytes = min(data_bytes, obj.size)
@@ -307,8 +306,7 @@ class ChurnWorkload(Workload):
             if room > 0:
                 start += int(rnd() * room) & ~15
             if start + nbytes <= obj.size:
-                dst = obj.cap.with_address(obj.cap.base + start)
-                cycles += ctx.core.store_data(dst, nbytes).cycles
+                cycles += access.store_data_at(obj.cap, obj.cap.base + start, nbytes)
         yield cycles + profile.compute_per_iter
 
     def _steady_iteration(self, ctx: "AppContext", task: ChurnTask) -> Generator:
@@ -316,13 +314,12 @@ class ChurnWorkload(Workload):
         objs = task.objs
         data_loads, _, data_bytes = profile.data_accesses_per_iter
         rnd = task.rng.random
+        load_data_at = ctx.access.load_data_at
         cycles = profile.compute_per_iter
         nobjs = len(objs)
         for _ in range(data_loads):
             obj = objs[int(rnd() * nobjs)]
             nbytes = min(data_bytes, obj.size)
             off = int(rnd() * (obj.size - nbytes + 1))
-            cycles += ctx.core.load_data(
-                obj.cap.with_address(obj.cap.base + off), nbytes
-            ).cycles
+            cycles += load_data_at(obj.cap, obj.cap.base + off, nbytes)
         yield cycles

@@ -176,6 +176,22 @@ class TestBatchedEquivalence:
             state_fast, state_ref = _mirror_states(fast, ref)
             assert state_fast == state_ref
 
+    @pytest.mark.parametrize("capacity", [64, 128, 256, 1024])
+    def test_touch_lines_matches_scalar(self, capacity):
+        """The fused path's 1-4 line touch, including spans that evict
+        their own lines from a cache smaller than the span."""
+        rng = random.Random(capacity)
+        fast, ref = Cache(Bus(), "c", capacity), Cache(Bus(), "c", capacity)
+        for _ in range(400):
+            write = rng.random() < 0.5
+            first = rng.randrange(0, 40)
+            last = first + rng.randrange(0, 4)
+            assert fast.touch_lines(first, last, write) == ref._touch_loop(
+                first, last, write
+            )
+            state_fast, state_ref = _mirror_states(fast, ref)
+            assert state_fast == state_ref
+
     def test_page_stream_smaller_than_cache_footprint(self):
         # Capacity below one page: the span must self-evict exactly as
         # the scalar loop does (the batched path punts to it).

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -98,6 +101,26 @@ class TestDataStoresClearTags:
         mem.store_data(0x1000, 8 * 256)
         assert mem.total_tags == 0
 
+    @pytest.mark.parametrize(
+        "offset,nbytes",
+        [(-8, 64), (4096, 16), (-16, 1600), (-1, 2)],
+    )
+    def test_store_past_the_end_rejected(self, mem, offset, nbytes):
+        """Offsets are from the end of memory; each store runs past it."""
+        mem.store_cap(mem.size_bytes - 16, a_cap())
+        with pytest.raises(VMError, match="data store out of memory"):
+            mem.store_data(mem.size_bytes + offset, nbytes)
+        assert mem.load_cap(mem.size_bytes - 16) is not None
+
+    def test_negative_address_store_rejected(self, mem):
+        with pytest.raises(VMError, match="data store out of memory"):
+            mem.store_data(-16, 32)
+
+    def test_store_ending_at_the_end_accepted(self, mem):
+        mem.store_cap(mem.size_bytes - 16, a_cap())
+        mem.store_data(mem.size_bytes - 64, 64)
+        assert mem.load_cap(mem.size_bytes - 16) is None
+
     def test_zero_length_store_is_noop(self, mem):
         mem.store_cap(0x1000, a_cap())
         mem.store_data(0x1000, 0)
@@ -187,3 +210,42 @@ class TestVectorViews:
         assert mem.load_cap(0x2000) is None
         assert mem.load_cap(0x2020) is None
         assert mem.total_tags == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc")
+def test_successive_machines_do_not_grow_resident_memory():
+    """One simulation's machine after another in a process (a benchmark
+    pass, a warm worker): the tag and shadow arrays stay lazily zeroed,
+    so resident memory does not grow by their 32 MiB once heap blocks
+    that outlive each machine fragment the allocator's heap. Runs in a
+    fresh interpreter, whose heap this suite has not touched."""
+    import subprocess
+
+    import repro
+
+    code = (
+        "import gc, os\n"
+        "from repro.kernel.shadow import RevocationBitmap\n"
+        "from repro.machine.memory import TaggedMemory\n"
+        "def resident():\n"
+        "    with open('/proc/self/statm') as fh:\n"
+        "        return int(fh.read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+        "keep = []\n"
+        "for i in range(12):\n"
+        "    if i == 1:\n"
+        "        before = resident()\n"
+        "    mem = TaggedMemory(256 << 20)\n"
+        "    keep.append(bytearray((i + 1) << 14))\n"
+        "    shadow = RevocationBitmap(256 << 20)\n"
+        "    keep.append(bytearray((i + 1) << 14))\n"
+        "    del mem, shadow\n"
+        "    gc.collect()\n"
+        "print((resident() - before) >> 20)\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert int(out.stdout) < 8

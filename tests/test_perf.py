@@ -414,27 +414,35 @@ class TestGateEndToEnd:
 
 
 class TestSweepSuite:
-    #: The vector-only values these targets recorded before the scalar
-    #: pass was folded in (smoke sizes); the scalar pass must not move them.
+    #: The fast-path-only values these targets recorded before their
+    #: scalar pass was added (smoke sizes); the scalar pass must not move
+    #: them. mutator.churn's equal the reference path's at the parent.
     EXPECTED = {
-        "sweep.scan": ("bus_transactions", 517.0),
-        "sweep.revoke": ("bus_transactions", 581.0),
-        "cache.span": ("lines_missed", 4096.0),
+        "sweep.scan": {"bus_transactions": 517.0},
+        "sweep.revoke": {"bus_transactions": 581.0},
+        "cache.span": {"lines_missed": 4096.0},
+        "mutator.churn": {
+            "wall_cycles_none": 5787311.0,
+            "wall_cycles_reloaded": 6276242.0,
+            "cache_accesses_none": 10379.0,
+            "cache_accesses_reloaded": 14660.0,
+        },
     }
 
     def test_scalar_series_beside_unchanged_metrics(self, monkeypatch):
         monkeypatch.delenv("REPRO_SCALAR", raising=False)
         report = Runner(mode="smoke").run(suite="sweep")
         assert set(report.benchmarks) == set(self.EXPECTED)
-        for name, (metric, value) in self.EXPECTED.items():
+        for name, expected in self.EXPECTED.items():
             metrics = report.benchmarks[name].metrics
-            assert set(metrics) == {"wall_s", "scalar_wall_s", metric}
+            assert set(metrics) == {"wall_s", "scalar_wall_s", *expected}
             assert metrics["scalar_wall_s"].kind == WALL
             assert len(metrics["scalar_wall_s"].samples) == len(
                 metrics["wall_s"].samples
             )
-            assert metrics[metric].kind == DETERMINISTIC
-            assert set(metrics[metric].samples) == {value}
+            for metric, value in expected.items():
+                assert metrics[metric].kind == DETERMINISTIC
+                assert set(metrics[metric].samples) == {value}
         assert "REPRO_SCALAR" not in os.environ
 
     @pytest.mark.parametrize("raw", ["0", "1", "yes"])
